@@ -1,6 +1,6 @@
 """Topology-zoo benchmark: generated netlists through the whole stack.
 
-Three measurements anchor the topology-general engine (DESIGN.md §10):
+Three measurements anchor the topology-general engine (DESIGN.md §9):
 
 * **chain floor** — the original chain-shaped path must not pay for the
   generality: the fast kernel's speedup over the reference kernel on a

@@ -1,19 +1,21 @@
 """Distributed batch evaluation: a coordinator and remote worker agents.
 
-The local supervised pool (:mod:`repro.engine.supervised_pool`) made one
-pool on one host survive crashes, hangs, and poisoned shards; this package
-extends the same supervision model across a network boundary, where
-disconnects, half-written payloads, and slow links are the common case:
+The batch executor (:mod:`repro.engine.supervised_pool`) drives every
+pooled batch with one dispatcher over a pluggable transport; this package
+is its network transport, where disconnects, half-written payloads, and
+slow links are the common case:
 
 * :mod:`repro.distributed.protocol` — length-prefixed, sha256-checksummed
   message framing over a plain TCP socket;
-* :mod:`repro.distributed.coordinator` — owns the shard queue, hands work
-  out under time-bounded leases renewed by heartbeats, and contains
-  failures with the shared retry/backoff/bisection/quarantine ladder;
+* :mod:`repro.distributed.coordinator` — accepts agents and, per batch,
+  hands shards out under time-bounded leases renewed by heartbeats,
+  quarantining agents whose connections keep faulting; the shared
+  dispatcher owns the retry/backoff/bisection/quarantine ladder;
 * :mod:`repro.distributed.worker` — the pull-based worker agent behind
-  ``python -m repro worker --connect HOST:PORT``.
+  ``python -m repro worker --connect HOST:PORT``, running the same
+  shard-serving function as a local pool worker.
 
-See DESIGN.md §9 for the protocol and its soundness argument.
+See DESIGN.md §8 for the executor, the protocol and its soundness argument.
 """
 
 from .coordinator import Coordinator

@@ -1,4 +1,4 @@
-"""The distributed coordinator: shard queue, leases, heartbeats, quarantine.
+"""The distributed transport: remote agents on sockets, under leases.
 
 The coordinator owns everything; workers own nothing.  Remote agents pull
 work (``request``), hold one shard at a time under a **time-bounded lease**
@@ -8,30 +8,31 @@ when a lease expires (dead worker, dropped link, wedged simulation — the
 coordinator cannot tell which, and does not need to), requeuing the shard
 is always safe, because evaluation is deterministic and a worker that
 finishes after losing its lease has produced a result the coordinator
-simply ignores (DESIGN.md §9).
+simply ignores (DESIGN.md §8).
 
-Failure containment reuses the exact ladder the local pool uses
-(:class:`repro.engine.supervised_pool.RetryLadder`): retry with capped
-backoff → bisection → per-item quarantine.  A poisoned item that kills
-three remote workers in a row therefore quarantines once, identically to
-one that kills three local processes.  On top of the per-shard ladder the
-coordinator quarantines *workers*: an agent whose connection keeps
-faulting (disconnects mid-shard, expired leases, corrupt payloads) stops
-receiving leases after ``worker_fault_limit`` strikes, with per-worker
-:class:`~repro.engine.result.SupervisionStats` kept for
-``EvaluationService.stats()["supervision"]["workers"]``.
-
-Results travel through the content-addressed
+The batch itself is driven by the same
+:class:`~repro.engine.supervised_pool.Dispatcher` that drives the local
+pool — task set, dispatch, ``shard_timeout``, completion, give-up and the
+retry → bisection → quarantine ladder are one implementation, so a
+poisoned item that kills three remote workers quarantines exactly like one
+that kills three local processes.  This module is only the transport
+(:class:`_RemoteBatch`, one per batch): it ships leases, renews them on
+heartbeats and expires them, reads results (through the shared
 :class:`~repro.service.cache.ResultCache` when coordinator and workers
-share a cache directory (the worker publishes by key, the coordinator
-reads), falling back to inline transfer otherwise; either way every frame
-is checksummed end-to-end by the protocol layer.
+share a cache directory, inline otherwise; every frame is checksummed by
+the protocol layer), and applies its loss policy — *worker* quarantine: an
+agent whose connection keeps faulting (disconnects mid-shard, expired
+leases, corrupt payloads, timeouts) stops receiving leases after
+``worker_fault_limit`` strikes, with per-worker
+:class:`~repro.engine.result.SupervisionStats` kept for
+``EvaluationService.stats()["supervision"]["workers"]``.  With nothing
+connected for ``reconnect_grace`` seconds the batch gives up and the caller
+finishes serially.
 
-Threading model (mirrors the supervised pool's single-supervisor shape):
-an accept thread plus one reader thread per connection do nothing but push
-events onto one queue; :meth:`Coordinator.run_batch` is the only consumer
-and the only place batch state (pending/outstanding/slots) is touched.
-Worker records are shared with the handshake path and guarded by one lock.
+Threading model: an accept thread plus one reader thread per connection do
+nothing but push events onto one queue; the batch thread is its only
+consumer and the only place batch state is touched.  Worker records are
+shared with the handshake path and guarded by one lock.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import PayloadChecksumError, SimulationError
 from ..engine.result import SupervisionStats
-from ..engine.supervised_pool import POLL_INTERVAL, RetryLadder, _Task
+from ..engine.supervised_pool import Dispatcher, _Agent, _Task
 from .protocol import recv_message, send_message
 
 #: Default lease duration, seconds.  Heartbeats arrive every quarter lease,
@@ -54,26 +55,21 @@ from .protocol import recv_message, send_message
 #: dead or wedged worker, not a scheduling hiccup.
 DEFAULT_LEASE_SECONDS = 5.0
 
-#: Transport faults (disconnect mid-shard, lease expiry, corrupt payload)
-#: a worker may cause before it stops receiving leases.
+#: Transport faults (disconnect mid-shard, lease expiry, corrupt payload,
+#: shard timeout) a worker may cause before it stops receiving leases.
 DEFAULT_WORKER_FAULT_LIMIT = 3
 
-#: How long ``run_batch`` waits for a worker to (re)appear once nothing is
+#: How long a batch waits for a worker to (re)appear once nothing is
 #: connected and nothing is leased, before giving up and leaving the
 #: remaining slots to the caller's local fallback.
 DEFAULT_RECONNECT_GRACE = 1.0
 
 
-class _RemoteWorker:
+class _RemoteWorker(_Agent):
     """One known worker id: transport may come and go, history persists."""
 
-    __slots__ = (
-        "worker_id", "sock", "send_lock", "generation", "connected",
-        "quarantined", "faults", "stats", "completed", "task", "deadline",
-        "hard_deadline", "wants_work", "batch_id",
-    )
-
     def __init__(self, worker_id: str) -> None:
+        super().__init__()
         self.worker_id = worker_id
         self.sock: Optional[socket.socket] = None
         self.send_lock = threading.Lock()
@@ -84,26 +80,13 @@ class _RemoteWorker:
         self.quarantined = False
         #: Transport faults attributed to this worker (strikes).
         self.faults = 0
-        self.stats = SupervisionStats()
-        #: Shards this worker completed successfully.
-        self.completed = 0
-        self.task: Optional[_Task] = None
-        #: Lease deadline — pushed forward by every heartbeat.
-        self.deadline: Optional[float] = None
-        #: Watchdog deadline from ``RunControls.shard_timeout`` — heartbeats
-        #: cannot extend it (a wedged-but-heartbeating process model needs
-        #: the shard-level budget to still bite).
-        self.hard_deadline: Optional[float] = None
+        #: Lease deadline — pushed forward by every heartbeat (the
+        #: ``shard_timeout`` deadline is the dispatcher's, and heartbeats
+        #: cannot extend it).
+        self.deadline = 0.0
         self.wants_work = False
         #: Batch whose context ("batch" message) this connection has seen.
         self.batch_id: Optional[int] = None
-
-    def release_task(self) -> Optional[_Task]:
-        task = self.task
-        self.task = None
-        self.deadline = None
-        self.hard_deadline = None
-        return task
 
     def send(self, message: Any, *, corrupt: bool = False) -> bool:
         """Send on the current transport; False when it is gone."""
@@ -118,39 +101,15 @@ class _RemoteWorker:
         return True
 
 
-class _Batch:
-    """State of one ``run_batch`` call (only the run_batch thread mutates it)."""
-
-    __slots__ = (
-        "batch_id", "payload", "controls", "on_error", "fault_json",
-        "cache_dir", "ladder", "pending", "outstanding", "slots", "stats",
-    )
-
-    def __init__(
-        self, batch_id, payload, controls, on_error, fault_json, cache_dir,
-        ladder, pending, outstanding, slots, stats,
-    ) -> None:
-        self.batch_id = batch_id
-        self.payload = payload
-        self.controls = controls
-        self.on_error = on_error
-        self.fault_json = fault_json
-        self.cache_dir = cache_dir
-        self.ladder = ladder
-        self.pending = pending
-        self.outstanding = outstanding
-        self.slots = slots
-        self.stats = stats
-
-
 class Coordinator:
     """Listens for worker agents and drives batches across them.
 
     One coordinator serves many batches over its lifetime (the evaluation
-    service holds one for the whole session); :meth:`run_batch` calls are
-    serialised.  With no agents connected, :meth:`available_workers`
-    returns 0 and the batch layer never routes work here — degradation to
-    the local supervised pool is the caller's one-line check away.
+    service holds one for the whole session); batches run one at a time,
+    each on the transport :meth:`transport` returns.  With no agents
+    connected, :meth:`available_workers` returns 0 and the batch layer
+    never routes work here — degradation to the local supervised pool is
+    the caller's one-line check away.
     """
 
     def __init__(
@@ -195,6 +154,14 @@ class Coordinator:
     @property
     def address(self) -> Tuple[str, int]:
         return (self.host, self.port)
+
+    def transport(
+        self, payload: bytes, controls, on_error: str,
+        fault_json: Optional[str] = None,
+    ) -> "_RemoteBatch":
+        """The transport for one batch: ``run(shard_lists)`` and ``stats``,
+        with the slot contract of :meth:`Dispatcher.run`."""
+        return _RemoteBatch(self, payload, controls, on_error, fault_json)
 
     def available_workers(self) -> int:
         """Connected, non-quarantined agents — what the batch layer gates on."""
@@ -291,7 +258,7 @@ class Coordinator:
                 self._workers[worker_id] = worker
             # Idempotent re-registration: replace the transport, keep the
             # history (fault strikes, quarantine, stats survive reconnects).
-            old_sock, lost_task = worker.sock, worker.release_task()
+            old_sock = worker.sock
             worker.generation += 1
             worker.sock = conn
             worker.connected = True
@@ -300,9 +267,8 @@ class Coordinator:
             generation = worker.generation
         if old_sock is not None:
             self._close_socket(old_sock)
-        if lost_task is not None:
-            # The shard leased on the dead connection is gone with it.
-            self._events.put(("lost", worker, lost_task))
+            # A shard leased on the dead connection is gone with it.
+            self._events.put(("reconnected", worker))
         threading.Thread(
             target=self._reader,
             args=(worker, generation, conn),
@@ -334,341 +300,208 @@ class Coordinator:
             except OSError:
                 pass
 
-    # -- batch driving -------------------------------------------------------
-    def run_batch(
-        self,
-        payload: bytes,
-        shard_lists: Sequence[Sequence[Any]],
-        controls,
-        on_error: str,
-        fault_json: Optional[str] = None,
-    ) -> Tuple[List[Optional[Any]], SupervisionStats]:
-        """Evaluate the shards across connected agents; same slot contract as
-        :meth:`SupervisedPool.run` — a ``None`` slot means the coordinator
-        gave up on that item (no workers left) and the caller finishes it
-        locally.  Returns ``(slots, stats)``.
-        """
-        if self._closed:
+
+class _RemoteBatch:
+    """The transport of one batch: leases to remote agents over sockets.
+
+    See :class:`~repro.engine.supervised_pool.Dispatcher` for the contract;
+    a ``None`` slot means the batch gave up on that item (no workers left)
+    and the caller finishes it locally.
+    """
+
+    giveup_reason = "distributed workers unavailable or kept failing"
+
+    def __init__(self, coordinator: Coordinator, payload, controls, on_error, fault_json):
+        self.coordinator = coordinator
+        self.payload, self.controls, self.on_error = payload, controls, on_error
+        self.fault_json = fault_json
+        self.cache_dir = coordinator.cache_dir
+        self.stats = SupervisionStats()
+        self.batch_id: Optional[int] = None
+        self._idle_since: Optional[float] = None
+
+    def run(self, shard_lists: Sequence[Sequence[Any]]) -> List[Optional[Any]]:
+        coordinator = self.coordinator
+        if coordinator._closed:
             raise SimulationError("coordinator is closed")
-        with self._batch_lock:
-            stats = SupervisionStats()
-            ladder = RetryLadder(controls, on_error, stats)
-            tasks, slots = ladder.make_tasks(shard_lists)
+        with coordinator._batch_lock:
+            self.batch_id = next(coordinator._batch_ids)
             try:
-                if tasks:
-                    batch = _Batch(
-                        batch_id=next(self._batch_ids),
-                        payload=payload,
-                        controls=controls,
-                        on_error=on_error,
-                        fault_json=fault_json,
-                        cache_dir=self.cache_dir,
-                        ladder=ladder,
-                        pending=list(tasks),
-                        outstanding={t.task_id: t for t in tasks},
-                        slots=slots,
-                        stats=stats,
-                    )
-                    self._drive(batch)
+                return Dispatcher(self, self.controls, self.on_error).run(shard_lists)
             finally:
-                # Leftover leases (give-up, close, on_error="raise") are moot
-                # once the batch ends: late results are dropped by batch id.
-                with self._lock:
-                    for worker in self._workers.values():
-                        worker.release_task()
-                self.supervision.merge(stats)
-            return slots, stats
+                coordinator.supervision.merge(self.stats)
 
-    def _drive(self, batch: _Batch) -> None:
-        idle_since: Optional[float] = None
-        while batch.outstanding:
-            if self._closed:
-                return  # give up: remaining slots stay None
-            now = time.monotonic()
-            with self._lock:
-                self._sweep_deadlines(batch, now)
-                self._dispatch(batch, now)
-                leased = any(
-                    w.task is not None for w in self._workers.values()
+    # -- transport -----------------------------------------------------------
+    def idle(self) -> List[_RemoteWorker]:
+        with self.coordinator._lock:
+            return [
+                worker
+                for worker in self.coordinator._workers.values()
+                if worker.connected and not worker.quarantined
+                and worker.wants_work and worker.task is None
+            ]
+
+    def send(self, worker: _RemoteWorker, task: _Task) -> bool:
+        coordinator = self.coordinator
+        with coordinator._lock:
+            if not worker.wants_work:
+                return False  # re-registered since idle(): await its request
+            if worker.batch_id != self.batch_id:
+                context = (
+                    "batch", self.batch_id, self.payload, self.controls,
+                    self.on_error, self.fault_json, self.cache_dir,
                 )
-                available = any(
-                    w.connected and not w.quarantined
-                    for w in self._workers.values()
-                )
-            if not batch.outstanding:
-                return
-            if leased or available:
-                idle_since = None
-            elif idle_since is None:
-                idle_since = now
-            elif now - idle_since >= self.reconnect_grace:
-                return  # nobody to give work to: caller's local fallback
-            try:
-                event = self._events.get(timeout=self._wait_timeout(batch, now))
-            except queue.Empty:
-                continue
-            self._handle_event(batch, event)
-            while True:
-                try:
-                    event = self._events.get_nowait()
-                except queue.Empty:
-                    break
-                self._handle_event(batch, event)
-
-    def _wait_timeout(self, batch: _Batch, now: float) -> float:
-        timeout = POLL_INTERVAL
-        with self._lock:
-            for worker in self._workers.values():
-                for deadline in (worker.deadline, worker.hard_deadline):
-                    if deadline is not None:
-                        timeout = min(timeout, deadline - now)
-        for task in batch.pending:
-            if task.ready > now:
-                timeout = min(timeout, task.ready - now)
-        return max(0.0, timeout)
-
-    def _dispatch(self, batch: _Batch, now: float) -> None:
-        """Lease ready tasks to idle, willing, non-quarantined workers."""
-        for worker in self._workers.values():
-            if (
-                not worker.connected
-                or worker.quarantined
-                or not worker.wants_work
-                or worker.task is not None
-            ):
-                continue
-            task = RetryLadder.pop_ready(batch.pending, now)
-            if task is None:
-                return
-            if not self._send_lease(worker, batch, task, now):
-                batch.pending.append(task)  # the "gone" event handles the rest
-
-    def _send_lease(
-        self, worker: _RemoteWorker, batch: _Batch, task: _Task, now: float
-    ) -> bool:
-        if worker.batch_id != batch.batch_id:
-            ok = worker.send(
-                (
-                    "batch", batch.batch_id, batch.payload, batch.controls,
-                    batch.on_error, batch.fault_json, batch.cache_dir,
-                )
+                if not worker.send(context):
+                    return False
+                worker.batch_id = self.batch_id
+            lease = (
+                "lease", self.batch_id, task.task_id, task.shard_id,
+                task.attempt, task.items, coordinator.lease_seconds,
             )
-            if not ok:
+            if not worker.send(lease):
                 return False
-            worker.batch_id = batch.batch_id
-        ok = worker.send(
-            (
-                "lease", batch.batch_id, task.task_id, task.shard_id,
-                task.attempt, task.items, self.lease_seconds,
-            )
-        )
-        if not ok:
-            return False
-        worker.task = task
-        worker.wants_work = False
-        worker.deadline = now + self.lease_seconds
-        timeout = batch.controls.shard_timeout
-        worker.hard_deadline = None if timeout is None else now + timeout
-        return True
+            worker.wants_work = False
+            worker.deadline = time.monotonic() + coordinator.lease_seconds
+            return True
 
-    # -- event handling (run_batch thread only) ------------------------------
-    def _handle_event(self, batch: _Batch, event: Tuple) -> None:
-        kind = event[0]
-        if kind == "gone":
-            _, worker, generation = event
-            with self._lock:
-                if generation != worker.generation:
-                    return  # a newer connection already replaced this one
+    def wait(self, timeout: float):
+        coordinator = self.coordinator
+        now = time.monotonic()
+        with coordinator._lock:
+            holders = [w for w in coordinator._workers.values() if w.task is not None]
+        expired = [worker for worker in holders if now >= worker.deadline]
+        for worker in expired:
+            self.stats.lease_expiries += 1
+            worker.stats.lease_expiries += 1
+            self._strike(worker)
+            yield (
+                "lost", worker, f"LeaseExpiredError: worker "
+                f"{worker.worker_id!r} lease expired without a heartbeat",
+            )
+        if expired:
+            return
+        timeout = min([timeout, *(worker.deadline - now for worker in holders)])
+        try:
+            event = coordinator._events.get(timeout=max(0.0, timeout))
+        except queue.Empty:
+            return
+        while True:
+            translated = self._translate(event)
+            if translated is not None:
+                yield translated
+            try:
+                event = coordinator._events.get_nowait()
+            except queue.Empty:
+                return
+
+    def fault(self, worker: _RemoteWorker) -> None:
+        self._strike(worker)
+
+    def exhausted(self, busy: bool) -> bool:
+        coordinator = self.coordinator
+        if coordinator._closed:
+            return True
+        now = time.monotonic()
+        if busy or coordinator.available_workers() > 0:
+            self._idle_since = None
+        elif self._idle_since is None:
+            self._idle_since = now
+        return (
+            self._idle_since is not None
+            and now - self._idle_since >= coordinator.reconnect_grace
+        )
+
+    # -- events --------------------------------------------------------------
+    def _translate(self, event: Tuple) -> Optional[Tuple]:
+        """One connection event as a dispatcher event (None: nothing to do).
+
+        Called lazily, just before the dispatcher handles the event, so the
+        lease state it reads is current.
+        """
+        kind, worker = event[0], event[1]
+        if kind == "reconnected":
+            return self._lost(worker, "reconnected")
+        with self.coordinator._lock:
+            if event[2] != worker.generation:
+                return None  # a newer connection already replaced this one
+            if kind == "gone":
                 worker.connected = False
                 worker.sock = None
-                task = worker.release_task()
-            if task is not None:
-                self._worker_fault(worker, batch)
-                self._requeue(
-                    batch, task,
-                    f"WorkerCrashError: worker {worker.worker_id!r} "
-                    f"disconnected while holding shard {task.shard_id} "
-                    f"attempt {task.attempt}",
-                )
-        elif kind == "lost":
-            _, worker, task = event
-            self._worker_fault(worker, batch)
-            self._requeue(
-                batch, task,
-                f"WorkerCrashError: worker {worker.worker_id!r} reconnected "
-                f"while holding shard {task.shard_id} attempt {task.attempt}",
-            )
-        elif kind == "corrupt":
-            _, worker, generation = event
-            with self._lock:
-                if generation != worker.generation:
-                    return
-                task = worker.release_task()
-            batch.stats.corrupt_payloads += 1
+        if kind == "gone":
+            return self._lost(worker, "disconnected")
+        if kind == "corrupt":
+            self.stats.corrupt_payloads += 1
             worker.stats.corrupt_payloads += 1
-            self._worker_fault(worker, batch)
-            if task is not None:
-                self._requeue(
-                    batch, task,
-                    f"PayloadChecksumError: result frame from worker "
-                    f"{worker.worker_id!r} for shard {task.shard_id} attempt "
-                    f"{task.attempt} failed its checksum",
-                )
-        elif kind == "message":
-            _, worker, generation, message = event
-            with self._lock:
-                if generation != worker.generation or not isinstance(
-                    message, tuple
-                ):
-                    return
-            self._handle_message(batch, worker, message)
-
-    def _handle_message(
-        self, batch: _Batch, worker: _RemoteWorker, message: Tuple
-    ) -> None:
-        kind = message[0]
-        if kind == "request":
-            with self._lock:
-                worker.wants_work = True
-        elif kind == "heartbeat":
-            _, _worker_id, batch_id, task_id = message
-            with self._lock:
-                if (
-                    worker.task is not None
-                    and worker.task.task_id == task_id
-                    and batch_id == batch.batch_id
-                ):
-                    worker.deadline = time.monotonic() + self.lease_seconds
-        elif kind == "result":
-            _, _worker_id, batch_id, task_id, status, payload = message
-            with self._lock:
-                if worker.task is not None and worker.task.task_id == task_id:
-                    worker.release_task()
-            if batch_id != batch.batch_id:
-                return  # late result from an older batch: drop
-            task = batch.outstanding.get(task_id)
-            if task is None:
-                return  # lease already expired and the task moved on: drop
-            if task in batch.pending:
-                # Already requeued (e.g. expiry raced the result): the
-                # requeued copy is authoritative, drop the stale result.
-                return
-            if status == "ok":
-                self._complete(batch, worker, task, payload)
-            else:
-                summary, blob, is_sim = payload
-                batch.ladder.task_failed(
-                    task, batch.pending, batch.outstanding, batch.slots,
-                    summary=summary, blob=blob, deterministic=is_sim,
-                )
-
-    def _complete(
-        self, batch: _Batch, worker: _RemoteWorker, task: _Task, payload
-    ) -> None:
-        mode, data = payload
-        if mode == "cache":
-            results = self._fetch_cached(data)
-            if results is None:
-                # The cache dir turned out not to be shared (or entries were
-                # evicted between publish and read): degrade the whole batch
-                # to inline transfer and retry.  Resetting batch_id forces
-                # the revised context onto every worker before its next lease.
-                batch.cache_dir = None
-                with self._lock:
-                    for other in self._workers.values():
-                        other.batch_id = None
-                self._requeue(
-                    batch, task,
-                    f"WorkerCrashError: worker {worker.worker_id!r} published "
-                    f"shard {task.shard_id} by cache key but entries were "
-                    f"missing; falling back to inline transfer",
-                )
-                return
-        else:
-            results = data
-        if len(results) != len(task.items):
-            self._worker_fault(worker, batch)
-            self._requeue(
-                batch, task,
-                f"WorkerCrashError: worker {worker.worker_id!r} returned "
-                f"{len(results)} results for {len(task.items)} items",
+            self._strike(worker)
+            return (
+                "lost", worker, f"PayloadChecksumError: result frame from "
+                f"worker {worker.worker_id!r} failed its checksum",
             )
-            return
-        for result in results:
-            result.attempts = task.tries + 1
-        batch.slots[task.start : task.start + len(results)] = results
-        batch.outstanding.pop(task.task_id, None)
-        with self._lock:
-            worker.completed += 1
+        message = event[3]
+        if not isinstance(message, tuple):
+            return None
+        task = worker.task
+        if message[0] == "request":
+            with self.coordinator._lock:
+                worker.wants_work = True
+        elif message[0] == "heartbeat":
+            _, _worker_id, batch_id, task_id = message
+            if batch_id == self.batch_id and task is not None and task.task_id == task_id:
+                worker.deadline = time.monotonic() + self.coordinator.lease_seconds
+        elif message[0] == "result":
+            _, _worker_id, batch_id, task_id, status, payload = message
+            if batch_id != self.batch_id or task is None or task.task_id != task_id:
+                return None  # late: an older batch, or the lease moved on
+            if status == "ok":
+                mode, payload = payload
+                if mode == "cache":
+                    payload = self._fetch_cached(payload)
+                    if payload is None:
+                        return self._cache_missing(worker)
+            return ("done", worker, task_id, status, payload)
+        return None
+
+    def _lost(self, worker: _RemoteWorker, what: str) -> Tuple:
+        if worker.task is not None:
+            self._strike(worker)
+        return ("lost", worker, f"WorkerCrashError: worker {worker.worker_id!r} {what}")
+
+    def _strike(self, worker: _RemoteWorker) -> None:
+        """One strike; at the limit the worker stops receiving leases."""
+        with self.coordinator._lock:
+            worker.faults += 1
+            if not worker.quarantined and worker.faults >= self.coordinator.worker_fault_limit:
+                worker.quarantined = True
+                self.stats.workers_quarantined += 1
+                worker.stats.workers_quarantined += 1
+
+    def _cache_missing(self, worker: _RemoteWorker) -> Tuple:
+        """The cache dir turned out not to be shared (or entries were evicted
+        between publish and read): degrade the whole batch to inline
+        transfer and retry.  Resetting ``batch_id`` forces the revised
+        context onto every worker before its next lease.  Not the worker's
+        fault, so no strike."""
+        self.cache_dir = None
+        with self.coordinator._lock:
+            for other in self.coordinator._workers.values():
+                other.batch_id = None
+        return (
+            "lost", worker, f"WorkerCrashError: worker {worker.worker_id!r} "
+            "published results by cache key but entries were missing; "
+            "falling back to inline transfer",
+        )
 
     def _fetch_cached(self, pairs) -> Optional[List[Any]]:
         """Read worker-published results back out of the shared cache tier."""
-        if self._cache is None:
+        cache = self.coordinator._cache
+        if cache is None:
             return None
         results = []
         for key, label in pairs:
-            cached = self._cache.get(key, count=False)
+            cached = cache.get(key, count=False)
             if cached is None:
                 return None
             # Always copy: memory-tier objects are shared, and the attempts
-            # stamp below must not mutate another reader's result.
+            # stamp must not mutate another reader's result.
             results.append(replace(cached, label=label))
         return results
-
-    # -- failure attribution -------------------------------------------------
-    def _requeue(self, batch: _Batch, task: _Task, summary: str) -> None:
-        """A transport-level loss: never deterministic, always retryable.
-
-        Tasks from an earlier batch (stale events that straddled a batch
-        boundary) are simply dropped — they have no slot here.
-        """
-        if task.task_id not in batch.outstanding:
-            return
-        batch.ladder.task_failed(
-            task, batch.pending, batch.outstanding, batch.slots,
-            summary=summary, blob=None, deterministic=False,
-        )
-
-    def _worker_fault(self, worker: _RemoteWorker, batch: _Batch) -> None:
-        """One strike; at the limit the worker stops receiving leases."""
-        with self._lock:
-            worker.faults += 1
-            if (
-                not worker.quarantined
-                and worker.faults >= self.worker_fault_limit
-            ):
-                worker.quarantined = True
-                batch.stats.workers_quarantined += 1
-                worker.stats.workers_quarantined += 1
-
-    def _sweep_deadlines(self, batch: _Batch, now: float) -> None:
-        """Expire leases (no heartbeat) and hard shard-timeout budgets."""
-        for worker in self._workers.values():
-            task = worker.task
-            if task is None:
-                continue
-            if worker.hard_deadline is not None and now >= worker.hard_deadline:
-                worker.release_task()
-                batch.stats.timeouts += 1
-                worker.stats.timeouts += 1
-                self._worker_fault(worker, batch)
-                if task.task_id in batch.outstanding:
-                    self._requeue(
-                        batch, task,
-                        f"ShardTimeoutError: shard {task.shard_id} attempt "
-                        f"{task.attempt} on worker {worker.worker_id!r} "
-                        f"exceeded shard_timeout="
-                        f"{batch.controls.shard_timeout}s",
-                    )
-            elif worker.deadline is not None and now >= worker.deadline:
-                worker.release_task()
-                batch.stats.lease_expiries += 1
-                worker.stats.lease_expiries += 1
-                self._worker_fault(worker, batch)
-                if task.task_id in batch.outstanding:
-                    self._requeue(
-                        batch, task,
-                        f"LeaseExpiredError: worker {worker.worker_id!r} "
-                        f"lease on shard {task.shard_id} attempt "
-                        f"{task.attempt} expired without a heartbeat",
-                    )

@@ -2,8 +2,10 @@
 
 An agent connects to a coordinator, registers its (stable) worker id, and
 then loops: request a lease, evaluate the shard with the exact same
-machinery a local pool worker uses (runners rebuilt from the batch payload
-+ ``_evaluate_shard``), publish the results, ask again.  The coordinator is
+function a local pool worker runs
+(:func:`~repro.engine.supervised_pool.serve_shard` over a
+:class:`~repro.engine.batch.RunnerStore` rebuilt from the batch payload),
+publish the results, ask again.  The coordinator is
 the only authority — the agent holds no queue state, so it can die,
 reconnect, or be restarted at any moment and the system converges: the
 register message is idempotent and a coordinator restart looks like an
@@ -31,17 +33,16 @@ instead of rebuilding them from the pickled spec every time.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import socket
 import threading
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from ..core.exceptions import SimulationError
 from ..engine import faults
+from ..engine.batch import RunnerStore, content_digest
 from ..engine.faults import FaultPlan
+from ..engine.supervised_pool import serve_shard
 from .protocol import recv_message, send_message
 
 #: Floor on the heartbeat interval, seconds.
@@ -59,10 +60,10 @@ class _RunnerCache:
     expensive per-layout state as they evaluate — elaborated layouts,
     compiled kernel functions, steady-state period memory — so keeping the
     runner object alive across batches carries all of it to the next lease.
-    The key is the sha256 of the pickled netlist (the same content identity
-    :meth:`~repro.engine.batch.BatchRunner.netlist_digest` uses) plus the
-    scalar build options of the work spec; a netlist that fails to pickle
-    has no content identity and is simply not cached.
+    The key is the netlist's :func:`~repro.engine.batch.content_digest`
+    (the identity the result cache keys on too) plus the scalar build
+    options of the work spec; a netlist that fails to pickle has no content
+    identity and is simply not cached.
     """
 
     def __init__(self, maxsize: int = 8) -> None:
@@ -71,11 +72,8 @@ class _RunnerCache:
 
     @staticmethod
     def key(spec: Tuple) -> Optional[Tuple]:
-        try:
-            digest = hashlib.sha256(pickle.dumps(spec[0])).hexdigest()
-        except Exception:  # noqa: BLE001 - unpicklable netlist: not cacheable
-            return None
-        return (digest, *spec[1:])
+        digest = content_digest(spec[0])
+        return None if digest is None else (digest, *spec[1:])
 
     def get(self, key: Tuple):
         runner = self._entries.pop(key, None)
@@ -91,47 +89,6 @@ class _RunnerCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class _AgentRunners:
-    """Private name → runner map rebuilt lazily from the batch payload.
-
-    A dedicated agent process could reuse the pool's process-global runner
-    store, but in-process agents (tests, benchmarks, local fan-out without
-    extra processes) share one interpreter — and simulator state is not
-    thread-safe, so every agent rebuilds its own runners from the pickled
-    work spec instead of touching the globals.  A *shared* :class:`_RunnerCache`
-    (owned by the agent, surviving batch installs) lets equal specs reuse the
-    previous batch's runner instead of rebuilding.
-    """
-
-    def __init__(
-        self,
-        payload: bytes,
-        shared: Optional[_RunnerCache] = None,
-        on_build: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self._specs = pickle.loads(payload)
-        self._runners: dict = {}
-        self._shared = shared
-        self._on_build = on_build
-
-    def __getitem__(self, name: str):
-        from ..engine.batch import _runner_from_spec
-
-        runner = self._runners.get(name)
-        if runner is None:
-            spec = self._specs[name]
-            key = self._shared.key(spec) if self._shared is not None else None
-            runner = self._shared.get(key) if key is not None else None
-            if runner is None:
-                runner = _runner_from_spec(spec)
-                if self._on_build is not None:
-                    self._on_build()
-                if key is not None:
-                    self._shared.put(key, runner)
-            self._runners[name] = runner
-        return runner
 
 
 class _Reconnect(Exception):
@@ -174,7 +131,7 @@ class WorkerAgent:
         self._send_lock = threading.Lock()
         #: Per-batch context from the last ``batch`` message.
         self._batch: Optional[Tuple[int, Any, str]] = None
-        self._runners: Optional[_AgentRunners] = None
+        self._runners: Optional[RunnerStore] = None
         self._cache = None
         #: Cross-batch runner reuse (see :class:`_RunnerCache`) and the
         #: number of runner (re)builds it could not avoid — observable by
@@ -243,8 +200,11 @@ class WorkerAgent:
 
     def _install_batch(self, message: Tuple) -> None:
         _, batch_id, payload, controls, on_error, fault_json, cache_dir = message
-        self._runners = _AgentRunners(
-            payload, shared=self._runner_cache, on_build=self._count_build
+        # A private store per agent, never a process global: in-process
+        # agents (tests, benchmarks) share one interpreter, and simulator
+        # state is not thread-safe.
+        self._runners = RunnerStore(
+            payload, cache=self._runner_cache, on_build=self._count_build
         )
         if fault_json is not None:
             faults.install(FaultPlan.from_json(fault_json))
@@ -261,57 +221,30 @@ class WorkerAgent:
         self.runner_builds += 1
 
     def _serve_lease(self, message: Tuple) -> None:
-        from ..engine.batch import _evaluate_shard
-
         _, batch_id, task_id, shard_id, attempt, items, lease_seconds = message
         if self._batch is None or self._batch[0] != batch_id:
-            self._send(
-                (
-                    "result", self.worker_id, batch_id, task_id, "error",
-                    (
-                        "WorkerCrashError: lease arrived before its batch "
-                        "context",
-                        None,
-                        False,
-                    ),
-                )
-            )
+            failure = ("WorkerCrashError: lease arrived before its batch context", None, False)
+            self._send(("result", self.worker_id, batch_id, task_id, "error", failure))
             return
         _, controls, on_error = self._batch
-        faults.set_shard_context(shard_id, attempt)
         if faults.should_disconnect(shard_id, attempt):
             # Mid-shard disconnect: the lease dies with the connection.
             raise _Reconnect()
         heartbeat_done = threading.Event()
-        beater: Optional[threading.Thread] = None
+        beater = threading.Thread(
+            target=self._heartbeat_loop,
+            args=(heartbeat_done, batch_id, task_id, lease_seconds),
+            daemon=True,
+        )
         try:
-            try:
-                # Process faults fire before heartbeats start: an injected
-                # hang blocks renewal and genuinely expires the lease.
-                faults.maybe_fault_shard(shard_id, attempt)
-                beater = threading.Thread(
-                    target=self._heartbeat_loop,
-                    args=(heartbeat_done, batch_id, task_id, lease_seconds),
-                    daemon=True,
-                )
-                beater.start()
-                results = _evaluate_shard(
-                    self._runners, items, controls, on_error
-                )
-                status, payload = "ok", self._package(items, controls, results)
-            except _Reconnect:
-                raise
-            except Exception as exc:  # noqa: BLE001 - goes to the coordinator
-                try:
-                    blob: Optional[bytes] = pickle.dumps(exc)
-                except Exception:  # noqa: BLE001 - unpicklable exception
-                    blob = None
-                status = "error"
-                payload = (
-                    f"{type(exc).__name__}: {exc}",
-                    blob,
-                    isinstance(exc, SimulationError),
-                )
+            # Process faults fire before heartbeats start: an injected hang
+            # blocks renewal and genuinely expires the lease.
+            status, payload = serve_shard(
+                self._runners, shard_id, attempt, items, controls, on_error,
+                started=beater.start,
+            )
+            if status == "ok":
+                payload = self._package(items, controls, payload)
             # Send-side faults model a slow or corrupting *link*, not a dead
             # worker: heartbeats keep running through the delay, so a
             # slow-but-healthy worker keeps its lease.
@@ -325,7 +258,7 @@ class WorkerAgent:
             )
         finally:
             heartbeat_done.set()
-            if beater is not None:
+            if beater.ident is not None:
                 beater.join(timeout=2.0)
 
     def _package(self, items, controls, results: List[Any]) -> Tuple[str, Any]:

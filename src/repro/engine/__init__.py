@@ -23,14 +23,16 @@ observers composed on top):
 configurations against one elaborated layout (warm-starting detection from
 the periods it has already seen), and
 :class:`repro.engine.batch.MultiNetlistRunner` schedules tagged batches
-over several layouts through one persistent worker pool; the optimiser's
-simulated objectives, the experiment sweeps and the Table 1 harness run
-through them.  The pool is *supervised*
-(:mod:`repro.engine.supervised_pool`): worker death, hung shards and
-poisoned items are recovered from — respawn, retry with backoff, bisect,
-quarantine — and reported via :class:`~repro.engine.result.SupervisionStats`;
-:mod:`repro.engine.faults` injects those failures deterministically so the
-recovery paths are tested, not hoped for (DESIGN.md §8).
+over several layouts in one call; the optimiser's simulated objectives,
+the experiment sweeps and the Table 1 harness run through them.  Batches
+fan out through one *supervised executor*
+(:mod:`repro.engine.supervised_pool`): a single dispatcher leases shards to
+local worker processes or, through :mod:`repro.distributed`, to remote
+agents, and recovers from worker death, hung shards and poisoned items —
+respawn, retry with backoff, bisect, quarantine — reporting via
+:class:`~repro.engine.result.SupervisionStats`; :mod:`repro.engine.faults`
+injects those failures deterministically so the recovery paths are tested,
+not hoped for (DESIGN.md §8).
 :class:`repro.core.simulator.LidSimulator` remains the backwards-compatible
 facade over this package.
 """

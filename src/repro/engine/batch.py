@@ -15,22 +15,22 @@ needed.  :class:`BatchRunner` serves that shape directly:
   remembers the periods observed per binding shape and sizes the detection
   window of sibling configurations from them — and disarms detection for
   shapes a previous equally-bounded run proved non-recurring;
-* :meth:`run_many` fans out across a **supervised worker pool** (see
+* :meth:`run_many` fans out through the **batch executor** (see
   :mod:`repro.engine.supervised_pool`): the configurations are chunked
-  into shards, each worker builds its runner(s) exactly once from a
-  pickled work spec and then evaluates shard after shard.  The supervisor
-  detects worker death and respawns the pool, requeues lost shards,
-  enforces ``RunControls.shard_timeout`` on hung simulations, retries
-  failed shards with capped exponential backoff, and bisects repeatedly
-  failing shards down to the poisoned item, which is quarantined as a
-  per-item error row while its siblings still return real results;
-  recovery counters accumulate on :attr:`BatchRunner.supervision`.
-  Because workers are seeded by pickle rather than by inherited memory,
-  the fan-out works under both the ``fork`` and ``spawn`` start methods;
-  netlists that cannot be pickled (e.g. closure-based processes) fall back
-  to the legacy fork-inheritance path where available, and to serial
-  evaluation (with a :class:`RuntimeWarning`) only when parallelism is
-  genuinely unavailable.
+  into shards and one dispatcher leases them to workers — local processes
+  (the supervised pool) or, with a coordinator that has live agents,
+  remote agents (:mod:`repro.distributed`).  The dispatcher requeues the
+  shards of lost workers, enforces ``RunControls.shard_timeout`` on hung
+  simulations, retries failed shards with capped exponential backoff, and
+  bisects repeatedly failing shards down to the poisoned item, which is
+  quarantined as a per-item error row while its siblings still return real
+  results; recovery counters accumulate on :attr:`BatchRunner.supervision`.
+  Workers rebuild their runners from a pickled work spec, so the fan-out
+  works under both the ``fork`` and ``spawn`` start methods.  Netlists or
+  controls that cannot be pickled (e.g. closure-based processes) go to the
+  same supervised pool under ``fork``, whose children inherit the driver's
+  runners; only where ``fork`` is unavailable does the batch run serially
+  (with a :class:`RuntimeWarning`).
 
 :class:`MultiNetlistRunner` generalises the pool to **several elaborated
 layouts at once** (e.g. the sort and matmul processors, or the WP1 and WP2
@@ -53,6 +53,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -77,6 +78,7 @@ from .steady_state import (
     PeriodMemory,
     detection_plan,
 )
+from .supervised_pool import SupervisedPool, _QuarantinedItem
 
 #: One work item: an :class:`RSConfiguration` or an explicit per-channel map,
 #: optionally paired with per-item overrides (``{"queue_capacity": 6}``).
@@ -189,71 +191,67 @@ class BatchResult:
         )
 
 
-# ---------------------------------------------------------------------------
-# Worker plumbing
-# ---------------------------------------------------------------------------
-#
-# Spawn-safe path: each worker receives the pickled rebuild specs of every
-# layout (the initializer) and rebuilds one BatchRunner per layout **on
-# first use** — contiguous sharding tends to hand a worker items from only
-# one or two layouts, so eager construction would elaborate layouts the
-# worker never touches.  Works identically under fork and spawn; each
-# worker's runners accumulate compiled-function caches and steady-state
-# period memory across every shard they serve.
+def content_digest(netlist: Netlist) -> Optional[str]:
+    """Content digest of *netlist*, or None when it cannot be pickled.
 
-_POOL_SPECS: Optional[Dict[str, Tuple]] = None
-_POOL_RUNNERS: Dict[str, "BatchRunner"] = {}
-
-
-def _pool_initializer(payload: bytes) -> None:
-    global _POOL_SPECS
-    _POOL_SPECS = pickle.loads(payload)
-    _POOL_RUNNERS.clear()
+    The sha256 of the pickled netlist identifies its *content* (processes
+    with their programs and initial state, channels, initial tokens) — the
+    part of a simulation's input the structural
+    :func:`~repro.engine.codegen.model_signature` does not cover.  The one
+    netlist identity: result-cache keys and the worker agents' runner cache
+    both use it.
+    """
+    try:
+        return hashlib.sha256(pickle.dumps(netlist)).hexdigest()
+    except Exception:
+        return None
 
 
-def _runner_from_spec(spec: Tuple) -> "BatchRunner":
-    """Rebuild one runner from its pickled work-spec tuple."""
-    netlist, relaxed, queue_capacity, rs_capacity, kernel_name, instruments = spec
-    return BatchRunner(
-        netlist,
-        relaxed=relaxed,
-        queue_capacity=queue_capacity,
-        rs_capacity=rs_capacity,
-        kernel=kernel_name,
-        instruments=instruments,
-    )
+class RunnerStore:
+    """A worker's name → runner map, rebuilt lazily from pickled work specs.
 
+    Runners are built **on first use**: contiguous sharding tends to hand a
+    worker items from only one or two layouts, so eager construction would
+    elaborate layouts the worker never touches.  Each runner accumulates
+    compiled-function caches and steady-state period memory across every
+    shard the worker serves.  A worker agent passes its cross-batch *cache*
+    (``key``/``get``/``put`` over specs) so equal specs reuse an earlier
+    batch's runner, and *on_build* to count the builds it could not avoid.
+    """
 
-def _pool_runner(name: str) -> "BatchRunner":
-    runner = _POOL_RUNNERS.get(name)
-    if runner is None:
-        assert _POOL_SPECS is not None
-        runner = _POOL_RUNNERS[name] = _runner_from_spec(_POOL_SPECS[name])
-    return runner
-
-
-class _LazyRunnerMap:
-    """Read-only name → runner mapping over the pool's lazy runner store."""
+    def __init__(
+        self,
+        payload: bytes,
+        cache: Optional[Any] = None,
+        on_build: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self._specs: Dict[str, Tuple] = pickle.loads(payload)
+        self._runners: Dict[str, "BatchRunner"] = {}
+        self._cache = cache
+        self._on_build = on_build
 
     def __getitem__(self, name: str) -> "BatchRunner":
-        return _pool_runner(name)
-
-
-# Legacy fork path: the runners are handed to workers through inherited
-# memory (for netlists that carry closures and cannot be pickled).
-_FORK_RUNNERS: Optional[Mapping[str, "BatchRunner"]] = None
-_FORK_ITEMS: Sequence[_Tagged] = ()
-_FORK_CONTROLS: Optional[RunControls] = None
-_FORK_ON_ERROR: str = "raise"
-
-
-def _fork_worker(index: int) -> BatchResult:
-    assert _FORK_RUNNERS is not None and _FORK_CONTROLS is not None
-    name, (configuration, rs_counts, capacity) = _FORK_ITEMS[index]
-    return _FORK_RUNNERS[name]._evaluate(
-        configuration, rs_counts, _FORK_CONTROLS, _FORK_ON_ERROR,
-        queue_capacity=capacity,
-    )
+        runner = self._runners.get(name)
+        if runner is None:
+            spec = self._specs[name]
+            key = self._cache.key(spec) if self._cache is not None else None
+            runner = self._cache.get(key) if key is not None else None
+            if runner is None:
+                netlist, relaxed, queue_capacity, rs_capacity, kernel, instruments = spec
+                runner = BatchRunner(
+                    netlist,
+                    relaxed=relaxed,
+                    queue_capacity=queue_capacity,
+                    rs_capacity=rs_capacity,
+                    kernel=kernel,
+                    instruments=instruments,
+                )
+                if self._on_build is not None:
+                    self._on_build()
+                if key is not None:
+                    self._cache.put(key, runner)
+            self._runners[name] = runner
+        return runner
 
 
 class BatchRunner:
@@ -298,24 +296,15 @@ class BatchRunner:
         self.supervision = SupervisionStats()
 
     def netlist_digest(self) -> Optional[str]:
-        """Content digest of the netlist, or None when it cannot be pickled.
+        """:func:`content_digest` of the netlist, computed once per runner.
 
-        The sha256 of the pickled netlist identifies its *content* (processes
-        with their programs and initial state, channels, initial tokens) —
-        the part of a simulation's input the structural
-        :func:`~repro.engine.codegen.model_signature` does not cover.  The
-        result cache of :mod:`repro.service` builds its content-addressed
-        keys from it; closure-carrying netlists that cannot be pickled return
-        None and are simply not cacheable.  Computed once per runner.
+        The result cache of :mod:`repro.service` builds its
+        content-addressed keys from it; closure-carrying netlists that
+        cannot be pickled return None and are simply not cacheable.
         """
         if not self._netlist_digest_known:
             self._netlist_digest_known = True
-            try:
-                self._netlist_digest = hashlib.sha256(
-                    pickle.dumps(self.netlist)
-                ).hexdigest()
-            except Exception:
-                self._netlist_digest = None
+            self._netlist_digest = content_digest(self.netlist)
         return self._netlist_digest
 
     # -- single evaluation --------------------------------------------------
@@ -520,16 +509,18 @@ class BatchRunner:
         handy when sweeping spaces that contain infeasible corners.
 
         With ``workers > 1`` the items are chunked into *shards* (default:
-        enough for load balancing, at most four per worker) and evaluated on
-        a persistent process pool (see :class:`MultiNetlistRunner`, which
-        this wraps with a single layout).  Workers are seeded with a pickled
-        work spec and rebuild layout + kernel caches once, so the path is
-        safe under both ``fork`` and ``spawn`` start methods (*start_method*
-        forces one).  Unpicklable netlists fall back to fork inheritance
-        where the platform has ``fork``; if parallelism is genuinely
-        unavailable a :class:`RuntimeWarning` naming the reason is emitted —
-        once per runner instance — and the batch runs serially.  Worker runs
-        never mutate this process' netlist.
+        enough for load balancing, at most four per worker) and evaluated by
+        the supervised executor (see :class:`MultiNetlistRunner`, which this
+        wraps with a single layout).  Workers are seeded with a pickled work
+        spec and rebuild layout + kernel caches once, so the path is safe
+        under both ``fork`` and ``spawn`` start methods (*start_method*
+        forces one).  Unpicklable netlists or controls reach the same pool
+        through fork inheritance where the platform has ``fork``; if
+        parallelism is genuinely unavailable a :class:`RuntimeWarning`
+        naming the reason is emitted — once per runner instance — and the
+        batch runs serially.  Worker runs never mutate this process'
+        netlist.  With a *coordinator* that has live agents, the shards go
+        to remote agents instead, under the same dispatcher.
 
         Run controls may be passed as keyword arguments or, mutually
         exclusively, as a prebuilt :class:`RunControls` via *controls* (the
@@ -778,59 +769,50 @@ def _run_tagged(
 ) -> List[BatchResult]:
     # Distributed tier first: with a coordinator that has live worker
     # agents, shards go over the wire instead of to local processes.  The
-    # coordinator is duck-typed (available_workers / run_batch / cache_dir)
-    # so the engine layer never imports repro.distributed.  Zero connected
-    # agents, an unpicklable netlist, or observer-carrying controls all
-    # degrade to the local paths below.
+    # coordinator is duck-typed (available_workers / transport) so the
+    # engine layer never imports repro.distributed.  Zero connected agents,
+    # an unpicklable netlist, or observer-carrying controls all degrade to
+    # the local paths below.
     if coordinator is not None and items:
         payload = _spawn_payload(runners)
-        if (
-            payload is not None
-            and _controls_picklable(controls)
-            and coordinator.available_workers() > 0
-        ):
-            return _run_distributed(
-                runners, items, controls, on_error, shards, payload,
-                coordinator, owner,
+        agents = coordinator.available_workers()
+        if payload is not None and _controls_picklable(controls) and agents > 0:
+            transport = coordinator.transport(
+                payload, controls, on_error, _fault_json()
+            )
+            return _run_supervised(
+                runners, items, controls, on_error, owner, transport,
+                _chunk(items, _shard_count(len(items), agents, shards)),
             )
     n_workers = min(workers, len(items))
     if n_workers <= 1:
-        return _run_serial(runners, items, controls, on_error)
+        return _evaluate_shard(runners, items, controls, on_error)
 
     payload = _spawn_payload(runners)
     if payload is not None and _controls_picklable(controls):
+        source: Any = payload
         method = start_method or _default_start_method()
-        if method is not None:
-            return _run_pooled(
-                runners, items, controls, on_error, n_workers, shards,
-                method, payload, owner,
-            )
-        _warn_serial_fallback(
-            owner, "no multiprocessing start method available"
-        )
-        return _run_serial(runners, items, controls, on_error)
-
-    reason = (
-        "netlist not picklable (closure-based processes?)"
-        if payload is None
-        else "run controls not picklable (on_cycle callback?)"
+        reason = "no multiprocessing start method available"
+    else:
+        # Unpicklable work: the workers inherit the driver's runners (and
+        # controls) through fork instead of unpickling a spec.
+        source = runners
+        method = "fork" if _fork_available() and start_method in (None, "fork") else None
+        reason = (
+            "netlist not picklable (closure-based processes?)"
+            if payload is None
+            else "run controls not picklable (on_cycle callback?)"
+        ) + " and the fork start method is not supported here"
+    if method is None:
+        _warn_serial_fallback(owner, reason)
+        return _evaluate_shard(runners, items, controls, on_error)
+    pool = SupervisedPool(
+        source, method, n_workers, controls, on_error, _fault_json()
     )
-    if _fork_available() and start_method in (None, "fork"):
-        return _run_forked(runners, items, controls, on_error, n_workers)
-
-    _warn_serial_fallback(
-        owner, f"{reason} and the fork start method is not supported here"
+    return _run_supervised(
+        runners, items, controls, on_error, owner, pool,
+        _chunk(items, _shard_count(len(items), n_workers, shards)),
     )
-    return _run_serial(runners, items, controls, on_error)
-
-
-def _run_serial(
-    runners: Mapping[str, BatchRunner],
-    items: Sequence[_Tagged],
-    controls: RunControls,
-    on_error: str,
-) -> List[BatchResult]:
-    return _evaluate_shard(runners, items, controls, on_error)
 
 
 def _evaluate_shard(
@@ -876,95 +858,26 @@ def _evaluate_shard(
     return results  # type: ignore[return-value]
 
 
-def _run_pooled(
-    runners: Mapping[str, BatchRunner],
-    items: List[_Tagged],
-    controls: RunControls,
-    on_error: str,
-    n_workers: int,
-    shards: Optional[int],
-    method: str,
-    payload: bytes,
-    owner: Optional[object] = None,
-) -> List[BatchResult]:
-    """Fan the shards out across the supervised pool (crash/timeout safe).
-
-    Worker death respawns the pool and requeues the lost shard; repeated
-    shard failure bisects down to the poisoned item, which is quarantined
-    as a per-item error row (``on_error="zero"``) or raised
-    (``on_error="raise"``).  If the pool gives up entirely (respawn budget
-    exhausted — every dispatch was dying), the remaining items are
-    finished serially in this process and the fallback warning carries the
-    supervision history.  Recovery counters accumulate on
-    ``owner.supervision``.
-    """
-    from .supervised_pool import SupervisedPool
-
-    shard_lists = _chunk(items, _shard_count(len(items), n_workers, shards))
-    plan = active_plan()
-    pool = SupervisedPool(
-        payload,
-        method,
-        min(n_workers, len(shard_lists)),
-        controls,
-        on_error,
-        fault_json=plan.to_json() if plan else None,
-    )
-    slots = pool.run(shard_lists)
-    return _finish_slots(
-        runners, items, controls, on_error, owner, slots, pool.stats,
-        "worker pool kept failing",
-    )
-
-
-def _run_distributed(
-    runners: Mapping[str, BatchRunner],
-    items: List[_Tagged],
-    controls: RunControls,
-    on_error: str,
-    shards: Optional[int],
-    payload: bytes,
-    coordinator: "Any",
-    owner: Optional[object] = None,
-) -> List[BatchResult]:
-    """Fan the shards out across remote worker agents under lease supervision.
-
-    Same failure semantics as :func:`_run_pooled` — the coordinator contains
-    shard failures with the identical retry/bisection/quarantine ladder —
-    plus the network layer's own recovery: expired leases and corrupted
-    payloads requeue the shard, repeatedly faulting agents are quarantined.
-    If every agent disappears mid-batch the coordinator gives up and the
-    remaining items are finished serially here, exactly like a local pool
-    that exhausted its respawn budget.
-    """
-    agents = max(1, coordinator.available_workers())
-    shard_lists = _chunk(items, _shard_count(len(items), agents, shards))
-    plan = active_plan()
-    slots, stats = coordinator.run_batch(
-        payload, shard_lists, controls, on_error,
-        fault_json=plan.to_json() if plan else None,
-    )
-    return _finish_slots(
-        runners, items, controls, on_error, owner, slots, stats,
-        "distributed workers unavailable or kept failing",
-    )
-
-
-def _finish_slots(
+def _run_supervised(
     runners: Mapping[str, BatchRunner],
     items: List[_Tagged],
     controls: RunControls,
     on_error: str,
     owner: Optional[object],
-    slots: List[Optional[Any]],
-    stats: SupervisionStats,
-    giveup_reason: str,
+    executor: Any,
+    shard_lists: List[List[_Tagged]],
 ) -> List[BatchResult]:
-    """Turn supervisor slots into results: quarantine rows become error rows,
-    ``None`` slots (the supervisor gave up) are finished serially here, and
-    the supervision counters merge onto the owning runner."""
-    from .supervised_pool import _QuarantinedItem
+    """Run the shards on a transport (local pool or remote agents).
 
+    Quarantined items become per-item error rows (``on_error="zero"``) or
+    are raised (``on_error="raise"``).  If the executor gives up — the pool
+    exhausted its respawn budget, or every agent disappeared — the
+    remaining items are finished serially here and the fallback warning
+    carries the supervision history.  Recovery counters accumulate on
+    ``owner.supervision``.
+    """
+    slots = executor.run(shard_lists)
+    stats: SupervisionStats = executor.stats
     results: List[Optional[BatchResult]] = [None] * len(items)
     unfinished: List[int] = []
     for index, slot in enumerate(slots):
@@ -978,7 +891,7 @@ def _finish_slots(
         stats.serial_fallback_items += len(unfinished)
         _warn_serial_fallback(
             owner,
-            f"{giveup_reason}; finishing {len(unfinished)} items serially",
+            f"{executor.giveup_reason}; finishing {len(unfinished)} items serially",
             stats,
         )
         for index in unfinished:
@@ -1019,25 +932,6 @@ def _quarantine_row(
     )
 
 
-def _run_forked(
-    runners: Mapping[str, BatchRunner],
-    items: Sequence[_Tagged],
-    controls: RunControls,
-    on_error: str,
-    n_workers: int,
-) -> List[BatchResult]:
-    global _FORK_RUNNERS, _FORK_ITEMS, _FORK_CONTROLS, _FORK_ON_ERROR
-    _FORK_RUNNERS, _FORK_ITEMS = runners, items
-    _FORK_CONTROLS, _FORK_ON_ERROR = controls, on_error
-    try:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=n_workers) as pool:
-            return pool.map(_fork_worker, range(len(items)))
-    finally:
-        _FORK_RUNNERS, _FORK_ITEMS = None, ()
-        _FORK_CONTROLS = None
-
-
 def _spawn_payload(runners: Mapping[str, BatchRunner]) -> Optional[bytes]:
     """Pickled work spec for pool workers, or ``None`` if not picklable."""
     try:
@@ -1046,6 +940,12 @@ def _spawn_payload(runners: Mapping[str, BatchRunner]) -> Optional[bytes]:
         )
     except Exception:
         return None
+
+
+def _fault_json() -> Optional[str]:
+    """The driver's active fault plan, serialised for the workers."""
+    plan = active_plan()
+    return plan.to_json() if plan else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,44 +1,38 @@
-"""A supervised worker pool: crash containment, watchdogs, retry, quarantine.
+"""The batch executor: one dispatcher, two transports, one worker loop.
 
-``multiprocessing.Pool`` gives the batch layer fan-out but no fault
-tolerance: a worker that dies mid-task silently loses the task (the
-``imap`` stream never completes), a hung simulation stalls the pool
-forever, and the only recovery is to abort the whole batch.  This module
-replaces it with an explicitly supervised pool built from raw
-``multiprocessing.Process`` workers, one duplex pipe each, so the
-supervisor always knows *which* worker holds *which* shard:
+Batches of relay-station configurations are chunked into shards and fanned
+out to workers.  Whoever the workers are, the same :class:`Dispatcher`
+drives the batch and alone owns its state:
 
-* **crash containment** — a worker that exits (segfault, OOM kill,
-  injected ``crash`` fault) is detected the moment its pipe closes or its
-  liveness poll fails; the worker is respawned and the shard it held is
-  requeued;
-* **watchdog** — with ``RunControls.shard_timeout`` set, a shard that
-  exceeds its wall-clock budget gets its worker killed (a wedged
-  simulation never returns on its own) and is requeued.  Timed-out shards
-  are *safe* to retry: workers only ever mutate their own rebuilt runner
-  state, never the driver's, so a killed attempt leaves no partial effects
-  behind (DESIGN.md §8);
-* **retry with capped exponential backoff** — a failed shard is
-  re-dispatched up to ``RunControls.max_shard_retries`` times, waiting
-  ``retry_backoff · 2^(attempt-1)`` seconds (capped) between attempts;
-* **bisection quarantine** — a shard that keeps failing is split in half
-  (each half with a fresh retry budget); recursing isolates the poisoned
-  item, which becomes a per-item error row (the ``on_error="zero"`` row
-  shape) while every sibling item still returns its real result.  Under
-  ``on_error="raise"`` the isolated failure is raised instead;
-* **give-up discipline** — respawns are budgeted; a pool that keeps dying
-  stops burning processes, returns what it has, and leaves the remaining
-  items to the caller's serial fallback (which warns with the supervision
-  stats, so "parallelism unavailable" and "pool kept dying" read
-  differently).
+* the task set — the :class:`RetryLadder`, the pending queue, the
+  outstanding tasks and the submission-order result slots;
+* dispatch of ready tasks to idle agents;
+* the ``RunControls.shard_timeout`` hard deadline (a shard that exceeds
+  its wall-clock budget loses its agent and is requeued; requeuing is safe
+  because workers never mutate the driver's state, DESIGN.md §8);
+* completion — the ``BatchResult.attempts`` stamp and the check that a
+  shard returns one result per item;
+* give-up, when the transport has nobody left to lease to: unfinished
+  slots stay ``None`` and the batch layer finishes them serially (with a
+  warning carrying the supervision stats, so "parallelism unavailable"
+  and "the workers kept dying" read differently).
+
+Failed shards climb the shared ladder: retry with capped exponential
+backoff, then bisection down to the poisoned item, which becomes a per-item
+error row (the ``on_error="zero"`` row shape) while its siblings still
+return real results — or is raised under ``on_error="raise"``.
+
+A *transport* only moves leases and reports what happened to them.  This
+module's :class:`SupervisedPool` is the local one: raw
+``multiprocessing.Process`` workers on duplex pipes, multiplexed over
+``multiprocessing.connection.wait``; a worker it loses (crash, timeout) is
+killed and respawned within ``RESPAWN_BUDGET_PER_WORKER``.  The remote one
+lives in :mod:`repro.distributed.coordinator` (socket leases, heartbeats,
+worker quarantine).  On the worker side both run :func:`serve_shard`.
 
 Results are deterministic: every shard lands in its submission-order slot
 regardless of retry order, and a fault-free supervised run is bit-identical
 to a serial run (property-tested in ``tests/test_supervision.py``).
-
-The supervisor runs in the calling thread — ``run()`` is synchronous, like
-the pool it replaces — and multiplexes dispatch, completion, liveness and
-deadlines over ``multiprocessing.connection.wait``.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import (
     LeaseExpiredError,
@@ -63,12 +57,11 @@ from .result import SupervisionStats
 #: Ceiling on the exponential retry backoff, seconds.
 BACKOFF_CAP = 1.0
 
-#: Idle supervisor wake-up period, seconds (liveness polling floor; pipe
-#: events wake the supervisor immediately, this only bounds how late a
-#: silent worker death is noticed).
+#: Longest the dispatcher waits for transport events, seconds.  Events wake
+#: it immediately; this only bounds how late a silent loss is noticed.
 POLL_INTERVAL = 0.05
 
-#: Respawn budget per pool: ``RESPAWN_BUDGET_PER_WORKER × workers + 2``.
+#: Respawn budget per local pool: ``RESPAWN_BUDGET_PER_WORKER × workers + 2``.
 #: A pool that loses more workers than this is structurally broken (or
 #: every shard is poisoned); further respawns would burn processes without
 #: converging, so the pool gives up and the batch layer falls back to
@@ -78,7 +71,7 @@ RESPAWN_BUDGET_PER_WORKER = 2
 
 @dataclass
 class _Task:
-    """One (sub-)shard in flight through the supervisor."""
+    """One (sub-)shard in flight through the dispatcher."""
 
     task_id: int
     #: Original shard index (inherited by bisection children; what the
@@ -98,6 +91,15 @@ class _Task:
     last_error: str = ""
 
 
+@dataclass
+class _QuarantinedItem:
+    """Marker slot: the batch layer turns it into a per-item error row."""
+
+    item: Any
+    error: str
+    attempts: int
+
+
 def _rebuild_error(summary: str, blob: Optional[bytes]) -> Exception:
     """Best-effort reconstruction of a worker-side failure for re-raising."""
     if blob is not None:
@@ -113,18 +115,14 @@ def _rebuild_error(summary: str, blob: Optional[bytes]) -> Exception:
 
 
 class RetryLadder:
-    """The shared shard-failure policy: retry → backoff → bisect → quarantine.
+    """The shard-failure policy: retry → backoff → bisect → quarantine.
 
-    Two supervisors contain failures with this ladder: the local
-    :class:`SupervisedPool` (pipes to child processes) and the distributed
-    coordinator (:mod:`repro.distributed.coordinator`, socket leases to
-    remote agents).  The ladder owns the *policy* and the task bookkeeping —
-    task ids, submission-order slots, backoff schedule, bisection,
-    quarantine rows — while each supervisor owns its transport and feeds
-    failures in through :meth:`task_failed`.  Keeping one implementation
-    guarantees a poisoned item behaves identically whether it kills a local
-    process or three remote workers in a row: same retry budget, same
-    bisection, exactly one quarantine row.
+    The ladder owns the *policy* — task ids, backoff schedule, bisection,
+    quarantine rows — over the task set the :class:`Dispatcher` holds.
+    Because both transports run under the one dispatcher, a poisoned item
+    behaves identically whether it kills a local process or three remote
+    workers in a row: same retry budget, same bisection, exactly one
+    quarantine row.
     """
 
     def __init__(self, controls, on_error: str, stats: SupervisionStats) -> None:
@@ -209,54 +207,212 @@ class RetryLadder:
         return None
 
 
-def _worker_main(
-    conn,
-    payload: bytes,
-    fault_json: Optional[str],
-    controls,
-    on_error: str,
-) -> None:
-    """Worker process body: rebuild runners once, then serve shard tasks.
+class _Agent:
+    """What the dispatcher tracks per worker: its lease and its record."""
 
-    Messages in: ``(task_id, shard_id, attempt, items)`` or ``None`` (quit).
-    Messages out: ``(task_id, "ok", results)`` or
-    ``(task_id, "error", summary, pickled_exc | None, is_simulation_error)``.
+    def __init__(self) -> None:
+        self.task: Optional[_Task] = None
+        #: ``shard_timeout`` deadline of the held task (None: no budget).
+        self.hard_deadline: Optional[float] = None
+        #: Shards this agent completed.
+        self.completed = 0
+        self.stats = SupervisionStats()
+
+
+class Dispatcher:
+    """Drives one batch of shards over a transport.
+
+    The transport contract:
+
+    * ``stats`` — the batch's :class:`SupervisionStats`;
+    * ``idle()`` — the agents that may take a lease now;
+    * ``send(agent, task)`` — ship a lease; False when the agent's transport
+      is already gone (its loss then arrives as an event);
+    * ``wait(timeout)`` — block up to *timeout* seconds, then yield events:
+      ``("done", agent, task_id, status, payload)`` where *status* ``"ok"``
+      carries the result list and ``"error"`` a ``(summary, blob,
+      is_simulation_error)`` triple, or ``("lost", agent, summary)`` when
+      the agent's lease is void — the transport has already applied its
+      own loss policy by then;
+    * ``fault(agent)`` — the dispatcher voided the agent's lease (timeout,
+      malformed result): apply the loss policy;
+    * ``exhausted(busy)`` — True to give up; *busy* says whether any agent
+      holds a lease.
     """
-    # Imported here: batch imports this module at top level (the reverse
-    # import must be lazy), and by the time a worker runs, batch is loaded.
-    from .batch import _LazyRunnerMap, _evaluate_shard, _pool_initializer
 
-    _pool_initializer(payload)
+    def __init__(self, transport, controls, on_error: str) -> None:
+        self.transport = transport
+        self.stats: SupervisionStats = transport.stats
+        self.shard_timeout: Optional[float] = controls.shard_timeout
+        self.ladder = RetryLadder(controls, on_error, self.stats)
+
+    def run(self, shard_lists: Sequence[Sequence[Any]]) -> List[Optional[Any]]:
+        """Evaluate every shard; returns per-item slots in submission order.
+
+        Each slot is that item's result (possibly a quarantine marker) or
+        ``None`` when the dispatcher gave up before the item completed.
+        Raises the isolated failure instead of quarantining under
+        ``on_error="raise"``.
+        """
+        tasks, self.slots = self.ladder.make_tasks(shard_lists)
+        self.pending: List[_Task] = list(tasks)
+        self.outstanding: Dict[int, _Task] = {t.task_id: t for t in tasks}
+        #: Agents holding a lease (an insertion-ordered set).
+        self.busy: Dict[_Agent, None] = {}
+        try:
+            while self.outstanding:
+                now = time.monotonic()
+                self._expire(now)
+                self._dispatch(now)
+                if not self.outstanding or self.transport.exhausted(bool(self.busy)):
+                    break
+                for event in self.transport.wait(self._timeout(now)):
+                    self._handle(event)
+        finally:
+            for agent in list(self.busy):
+                self._release(agent)
+        return self.slots
+
+    def _dispatch(self, now: float) -> None:
+        for agent in self.transport.idle():
+            task = RetryLadder.pop_ready(self.pending, now)
+            if task is None:
+                return
+            if not self.transport.send(agent, task):
+                self.pending.append(task)
+                continue
+            agent.task = task
+            if self.shard_timeout is not None:
+                agent.hard_deadline = now + self.shard_timeout
+            self.busy[agent] = None
+
+    def _timeout(self, now: float) -> float:
+        wake = [now + POLL_INTERVAL]
+        wake += [a.hard_deadline for a in self.busy if a.hard_deadline is not None]
+        wake += [t.ready for t in self.pending if t.ready > now]
+        return max(0.0, min(wake) - now)
+
+    def _expire(self, now: float) -> None:
+        """Void the leases that ran past ``shard_timeout``."""
+        for agent in list(self.busy):
+            if agent.hard_deadline is not None and now >= agent.hard_deadline:
+                task = self._release(agent)
+                self.stats.timeouts += 1
+                agent.stats.timeouts += 1
+                self.transport.fault(agent)
+                self._lost(
+                    task, f"ShardTimeoutError: exceeded shard_timeout="
+                    f"{self.shard_timeout}s",
+                )
+
+    def _handle(self, event: Tuple) -> None:
+        agent = event[1]
+        task = agent.task
+        if event[0] == "lost":
+            if task is not None:
+                self._release(agent)
+                self._lost(task, event[2])
+            return
+        _, _, task_id, status, payload = event
+        if task is None or task.task_id != task_id:
+            return  # stale: the lease already moved on
+        self._release(agent)
+        if status != "ok":
+            summary, blob, is_sim = payload
+            self._fail(task, summary, blob, is_sim)
+        elif len(payload) != len(task.items):
+            self.transport.fault(agent)
+            self._lost(
+                task, f"WorkerCrashError: returned {len(payload)} results "
+                f"for {len(task.items)} items",
+            )
+        else:
+            for result in payload:
+                result.attempts = task.tries + 1
+            self.slots[task.start : task.start + len(payload)] = payload
+            self.outstanding.pop(task.task_id, None)
+            agent.completed += 1
+
+    def _release(self, agent: _Agent) -> Optional[_Task]:
+        task, agent.task, agent.hard_deadline = agent.task, None, None
+        self.busy.pop(agent, None)
+        return task
+
+    def _lost(self, task: _Task, summary: str) -> None:
+        """A transport-level loss: never deterministic, always retryable."""
+        self._fail(
+            task, f"{summary} on shard {task.shard_id} attempt {task.attempt}"
+        )
+
+    def _fail(
+        self, task: _Task, summary: str, blob: Optional[bytes] = None,
+        deterministic: bool = False,
+    ) -> None:
+        self.ladder.task_failed(
+            task, self.pending, self.outstanding, self.slots,
+            summary=summary, blob=blob, deterministic=deterministic,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Worker side
+# ---------------------------------------------------------------------------
+
+def serve_shard(
+    runners, shard_id: int, attempt: int, items: Sequence[Any], controls,
+    on_error: str, started: Optional[Callable[[], None]] = None,
+) -> Tuple[str, Any]:
+    """Evaluate one leased shard on a worker, local process or remote agent.
+
+    Runs the shard-level fault hook, then *started* (the remote agent starts
+    its heartbeats there, so an injected hang blocks them), then the shard.
+    Returns ``("ok", results)`` or ``("error", (summary, pickled exception
+    or None, is_simulation_error))``.
+    """
+    from .batch import _evaluate_shard
+
+    set_shard_context(shard_id, attempt)
+    try:
+        maybe_fault_shard(shard_id, attempt)
+        if started is not None:
+            started()
+        return "ok", _evaluate_shard(runners, items, controls, on_error)
+    except Exception as exc:  # noqa: BLE001 - shipped to the dispatcher
+        try:
+            blob: Optional[bytes] = pickle.dumps(exc)
+        except Exception:  # noqa: BLE001 - unpicklable exception payload
+            blob = None
+        return "error", (
+            f"{type(exc).__name__}: {exc}", blob, isinstance(exc, SimulationError)
+        )
+
+
+def _worker_main(conn, source, fault_json: Optional[str], controls, on_error: str) -> None:
+    """Local worker process body: serve shard leases until told to quit.
+
+    *source* is either the pickled runner specs (rebuilt lazily, once per
+    layout) or, under fork, the driver's own runner mapping, inherited.
+    Messages in: ``(task_id, shard_id, attempt, items)`` or ``None`` (quit).
+    Messages out: ``(task_id, status, payload)`` from :func:`serve_shard`.
+    """
+    from .batch import RunnerStore
+
+    runners = RunnerStore(source) if isinstance(source, bytes) else source
     mark_worker()
     if fault_json is not None:
         install(FaultPlan.from_json(fault_json))
     while True:
         try:
-            task = conn.recv()
+            lease = conn.recv()
         except (EOFError, OSError):
             break
-        if task is None:
+        if lease is None:
             break
-        task_id, shard_id, attempt, items = task
-        set_shard_context(shard_id, attempt)
+        task_id, shard_id, attempt, items = lease
         try:
-            maybe_fault_shard(shard_id, attempt)
-            results = _evaluate_shard(_LazyRunnerMap(), items, controls, on_error)
-            message = (task_id, "ok", results)
-        except Exception as exc:  # noqa: BLE001 - shipped to the supervisor
-            try:
-                blob: Optional[bytes] = pickle.dumps(exc)
-            except Exception:  # noqa: BLE001 - unpicklable exception payload
-                blob = None
-            message = (
-                task_id,
-                "error",
-                f"{type(exc).__name__}: {exc}",
-                blob,
-                isinstance(exc, SimulationError),
+            conn.send(
+                (task_id, *serve_shard(runners, shard_id, attempt, items, controls, on_error))
             )
-        try:
-            conn.send(message)
         except (BrokenPipeError, OSError):
             break
     try:
@@ -265,38 +421,23 @@ def _worker_main(
         pass
 
 
-class _Worker:
-    """One supervised worker process and its duplex pipe."""
+# ---------------------------------------------------------------------------
+# The local transport
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("conn", "process", "task", "deadline")
+class _Worker(_Agent):
+    """One local worker process and its duplex pipe."""
 
-    def __init__(self, ctx, payload, fault_json, controls, on_error) -> None:
+    def __init__(self, ctx, source, fault_json, controls, on_error) -> None:
+        super().__init__()
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, payload, fault_json, controls, on_error),
+            args=(child_conn, source, fault_json, controls, on_error),
             daemon=True,
         )
         self.process.start()
         child_conn.close()
-        self.task: Optional[_Task] = None
-        self.deadline: Optional[float] = None
-
-    def dispatch(self, task: _Task, timeout: Optional[float]) -> bool:
-        """Hand *task* to the worker; False when the pipe is already dead."""
-        try:
-            self.conn.send((task.task_id, task.shard_id, task.attempt, task.items))
-        except (BrokenPipeError, OSError):
-            return False
-        self.task = task
-        self.deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        return True
-
-    def release_task(self) -> Optional[_Task]:
-        task, self.task, self.deadline = self.task, None, None
-        return task
 
     def reap(self, kill: bool = False) -> None:
         """Shut the worker down, escalating politely → terminate → kill."""
@@ -321,20 +462,22 @@ class _Worker:
 
 
 class SupervisedPool:
-    """Run sharded batch work with crash/timeout supervision.
+    """Local transport: shards on ``multiprocessing`` children over pipes.
 
     One instance serves one ``run()`` call (the batch layer constructs it
     per pooled batch); the interesting state it leaves behind is
-    :attr:`stats`.  Construction parameters come from the batch layer:
-    *payload* is the pickled runner rebuild spec every worker is seeded
-    with, *controls* carries the supervision knobs
-    (``shard_timeout`` / ``max_shard_retries`` / ``retry_backoff``), and
-    *fault_json* ships the driver's installed fault plan to the workers.
+    :attr:`stats`.  *source* seeds the workers: the pickled runner specs
+    (works under every start method) or, with ``method="fork"``, the
+    driver's runner mapping itself, inherited by the children — how
+    unpicklable netlists and controls reach workers.  *controls* carries
+    the supervision knobs and *fault_json* the driver's fault plan.
     """
+
+    giveup_reason = "worker pool kept failing"
 
     def __init__(
         self,
-        payload: bytes,
+        source,
         method: str,
         processes: int,
         controls,
@@ -343,204 +486,71 @@ class SupervisedPool:
     ) -> None:
         if processes < 1:
             raise SimulationError("SupervisedPool needs at least one worker")
-        self.payload = payload
+        self.source = source
         self.method = method
         self.processes = processes
         self.controls = controls
         self.on_error = on_error
         self.fault_json = fault_json
-        self.shard_timeout: Optional[float] = controls.shard_timeout
-        self.max_respawns = RESPAWN_BUDGET_PER_WORKER * processes + 2
         self.stats = SupervisionStats()
-        self._ladder = RetryLadder(controls, on_error, self.stats)
+        self.workers: List[_Worker] = []
 
-    # -- public API ---------------------------------------------------------
-    def run(
-        self, shard_lists: Sequence[Sequence[Any]]
-    ) -> List[Optional[List[Any]]]:
-        """Evaluate every shard; returns per-item slots in submission order.
-
-        Each returned slot is either that item's result (possibly a
-        quarantine error row) or ``None`` when the pool gave up before the
-        item completed — the caller finishes ``None`` slots serially.
-        Raises the isolated failure instead of quarantining under
-        ``on_error="raise"``.
-        """
-        tasks, slots = self._ladder.make_tasks(shard_lists)
-        if not tasks:
-            return slots
-        outstanding: Dict[int, _Task] = {t.task_id: t for t in tasks}
-        pending: List[_Task] = list(tasks)
-        ctx = multiprocessing.get_context(self.method)
-        workers: List[_Worker] = [
-            self._spawn(ctx) for _ in range(min(self.processes, len(tasks)))
+    def run(self, shard_lists: Sequence[Sequence[Any]]) -> List[Optional[Any]]:
+        """Evaluate every shard (see :meth:`Dispatcher.run`); ``None`` slots
+        are the ones the pool gave up on, for the caller to finish serially."""
+        self._ctx = multiprocessing.get_context(self.method)
+        self.workers = [
+            self._spawn() for _ in range(min(self.processes, len(shard_lists)))
         ]
+        self.max_respawns = RESPAWN_BUDGET_PER_WORKER * len(self.workers) + 2
         try:
-            while outstanding:
-                now = time.monotonic()
-                self._dispatch_ready(workers, pending, now)
-                busy = [w for w in workers if w.task is not None]
-                if not busy:
-                    if not workers:
-                        break  # respawn budget exhausted, nobody left: give up
-                    if not pending:  # pragma: no cover - bookkeeping bug guard
-                        raise SimulationError(
-                            "supervised pool wedged: work outstanding but "
-                            "nothing pending or running"
-                        )
-                    # Everyone idle, all pending tasks in backoff: sleep to
-                    # the earliest ready time.
-                    wake = min(task.ready for task in pending)
-                    time.sleep(max(0.0, min(wake - now, BACKOFF_CAP)))
-                    continue
-                ready = _connection_wait(
-                    [w.conn for w in busy], timeout=self._wait_timeout(busy, pending, now)
-                )
-                by_conn = {w.conn: w for w in busy}
-                handled = set()
-                for conn in ready:
-                    worker = by_conn[conn]
-                    handled.add(id(worker))
-                    self._drain_worker(
-                        ctx, worker, workers, pending, outstanding, slots
-                    )
-                # Liveness + deadline sweep (idle workers included: a dead
-                # idle worker would otherwise linger and starve dispatch).
-                now = time.monotonic()
-                for worker in list(workers):
-                    if id(worker) in handled:
-                        continue
-                    if not worker.process.is_alive():
-                        self._worker_lost(
-                            ctx, worker, workers, pending, outstanding, slots,
-                            crashed=True,
-                        )
-                    elif (
-                        worker.task is not None
-                        and worker.deadline is not None
-                        and now >= worker.deadline
-                    ):
-                        self.stats.timeouts += 1
-                        self._worker_lost(
-                            ctx, worker, workers, pending, outstanding, slots,
-                            crashed=False,
-                        )
+            return Dispatcher(self, self.controls, self.on_error).run(shard_lists)
         finally:
-            for worker in workers:
+            for worker in self.workers:
                 worker.reap()
-        # Give-up path: unfinished slots stay None for the caller's serial
-        # fallback (outstanding is empty on every normal exit).
-        return slots
 
-    # -- supervisor internals ------------------------------------------------
-    def _spawn(self, ctx) -> _Worker:
-        return _Worker(
-            ctx, self.payload, self.fault_json, self.controls, self.on_error
-        )
+    # -- transport -----------------------------------------------------------
+    def idle(self) -> List[_Worker]:
+        return [worker for worker in self.workers if worker.task is None]
 
-    def _respawn(self, ctx, workers: List[_Worker]) -> None:
-        """Replace a lost worker if the respawn budget allows it."""
+    def send(self, worker: _Worker, task: _Task) -> bool:
+        try:
+            worker.conn.send((task.task_id, task.shard_id, task.attempt, task.items))
+        except (BrokenPipeError, OSError):
+            return False  # the liveness sweep reports the death
+        return True
+
+    def wait(self, timeout: float):
+        # Idle workers' pipes are watched too: they only turn readable at
+        # EOF, so a worker dying between leases is noticed at once.
+        ready = _connection_wait([worker.conn for worker in self.workers], timeout)
+        for worker in list(self.workers):
+            if worker.conn in ready:
+                try:
+                    message = worker.conn.recv()
+                except (EOFError, OSError):
+                    message = None
+                if message is not None:
+                    yield ("done", worker, *message)
+                    continue
+            elif worker.process.is_alive():
+                continue
+            exitcode = worker.process.exitcode
+            self.fault(worker)
+            yield ("lost", worker, f"WorkerCrashError: worker died (exit code {exitcode})")
+
+    def fault(self, worker: _Worker) -> None:
+        """Kill the worker (dead, wedged or broken) and respawn within budget."""
+        self.workers.remove(worker)
+        worker.reap(kill=True)
         self.stats.respawns += 1
         if self.stats.respawns <= self.max_respawns:
-            workers.append(self._spawn(ctx))
+            self.workers.append(self._spawn())
 
-    def _dispatch_ready(
-        self, workers: List[_Worker], pending: List[_Task], now: float
-    ) -> None:
-        for worker in workers:
-            if worker.task is not None:
-                continue
-            task = self._pop_ready(pending, now)
-            if task is None:
-                return
-            if not worker.dispatch(task, self.shard_timeout):
-                # Pipe already broken: the death is handled by the liveness
-                # sweep; put the task back for someone else.
-                pending.append(task)
+    def exhausted(self, busy: bool) -> bool:
+        return not self.workers
 
-    @staticmethod
-    def _pop_ready(pending: List[_Task], now: float) -> Optional[_Task]:
-        return RetryLadder.pop_ready(pending, now)
-
-    def _wait_timeout(
-        self, busy: List[_Worker], pending: List[_Task], now: float
-    ) -> float:
-        timeout = POLL_INTERVAL
-        for worker in busy:
-            if worker.deadline is not None:
-                timeout = min(timeout, worker.deadline - now)
-        for task in pending:
-            if task.ready > now:
-                timeout = min(timeout, task.ready - now)
-        return max(0.0, timeout)
-
-    def _drain_worker(
-        self, ctx, worker, workers, pending, outstanding, slots
-    ) -> None:
-        try:
-            message = worker.conn.recv()
-        except (EOFError, OSError):
-            self._worker_lost(
-                ctx, worker, workers, pending, outstanding, slots, crashed=True
-            )
-            return
-        task = worker.release_task()
-        if task is None:  # pragma: no cover - stray message after requeue
-            return
-        if message[1] == "ok":
-            results = message[2]
-            for result in results:
-                result.attempts = task.tries + 1
-            slots[task.start : task.start + len(results)] = results
-            outstanding.pop(task.task_id, None)
-            return
-        _, _, summary, blob, is_sim = message
-        self._task_failed(
-            task, pending, outstanding, slots,
-            summary=summary, blob=blob, deterministic=is_sim,
+    def _spawn(self) -> _Worker:
+        return _Worker(
+            self._ctx, self.source, self.fault_json, self.controls, self.on_error
         )
-
-    def _worker_lost(
-        self, ctx, worker, workers, pending, outstanding, slots, crashed: bool
-    ) -> None:
-        """A worker died (crashed=True) or was killed for a timeout."""
-        task = worker.release_task()
-        exitcode = worker.process.exitcode
-        workers.remove(worker)
-        worker.reap(kill=True)
-        self._respawn(ctx, workers)
-        if task is None:
-            return
-        if crashed:
-            summary = (
-                f"WorkerCrashError: worker died (exit code {exitcode}) while "
-                f"evaluating shard {task.shard_id} attempt {task.attempt}"
-            )
-        else:
-            summary = (
-                f"ShardTimeoutError: shard {task.shard_id} attempt "
-                f"{task.attempt} exceeded shard_timeout="
-                f"{self.shard_timeout}s; worker killed"
-            )
-        self._task_failed(
-            task, pending, outstanding, slots,
-            summary=summary, blob=None, deterministic=False,
-        )
-
-    def _task_failed(
-        self, task, pending, outstanding, slots, *,
-        summary: str, blob: Optional[bytes], deterministic: bool,
-    ) -> None:
-        self._ladder.task_failed(
-            task, pending, outstanding, slots,
-            summary=summary, blob=blob, deterministic=deterministic,
-        )
-
-
-@dataclass
-class _QuarantinedItem:
-    """Marker slot: the batch layer turns it into a per-item error row."""
-
-    item: Any
-    error: str
-    attempts: int

@@ -2,7 +2,7 @@
 
 Everything under this package turns one in-process
 :class:`~repro.service.EvaluationService` into a long-lived network
-service (DESIGN.md §11): several clients — human, CI, optimiser — share
+service (DESIGN.md §10): several clients — human, CI, optimiser — share
 one scheduler, one content-addressed result cache and one warm period
 memory across a real socket, with per-tenant quotas and weighted fair
 queueing deciding who gets the pool when they all want it at once.

@@ -1,7 +1,7 @@
 """The daemon: a threaded HTTP front end owning one ``EvaluationService``.
 
 :class:`ReproServer` is the serving tier's composition root (DESIGN.md
-§11).  It owns the service (and optionally a distributed
+§10).  It owns the service (and optionally a distributed
 :class:`~repro.distributed.Coordinator`, so remote ``repro worker`` agents
 drain daemon jobs), a :class:`~repro.server.tenancy.TenantRegistry`, and a
 ``ThreadingHTTPServer`` whose handler routes through

@@ -1,4 +1,4 @@
-"""Chaos suite for the distributed tier (DESIGN.md §9).
+"""Chaos suite for the distributed tier (DESIGN.md §8).
 
 The anchor property mirrors the local supervised pool's: a batch fanned out
 to remote worker agents completes bit-identical to a fault-free serial run,

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.cpu.machine import build_pipelined_cpu
 from repro.cpu.topology import LINK_CU_IC
 from repro.cpu.workloads import make_extraction_sort, make_matrix_multiply
 from repro.engine import faults
+from repro.engine.batch import BatchRunner
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.server import (
     AuthError,
@@ -395,17 +397,33 @@ class TestRoundTrip:
                 )
         assert sorted(streamed) == sorted(direct_rows(depths=depths))
 
-    def test_first_row_streams_before_the_set_completes(self, server):
+    def test_first_row_streams_before_the_set_completes(
+        self, server, monkeypatch
+    ):
+        # Hold back the set's last job (WP2, depth 7) until the first row
+        # has arrived, so the set cannot finish first on a fast machine.
+        release = threading.Event()
+        evaluate = BatchRunner._evaluate
+
+        def held(runner, configuration, *args, **kwargs):
+            if runner.relaxed and configuration.label == "All 7 (no CU-IC)":
+                release.wait()
+            return evaluate(runner, configuration, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRunner, "_evaluate", held)
         client = make_client(server)
-        (reply,) = [self.submit_mixed(client, range(8))[0]]
-        record = server.record_for(
-            server.registry.authenticate(None), reply["job_set_id"]
-        )
-        stream = client.stream(reply["job_set_id"])
-        first = next(stream)
-        assert first["event"] == "row"
-        # 15 simulations are still pending or running behind this row.
-        assert not record.done
+        try:
+            (reply,) = [self.submit_mixed(client, range(8))[0]]
+            record = server.record_for(
+                server.registry.authenticate(None), reply["job_set_id"]
+            )
+            stream = client.stream(reply["job_set_id"])
+            first = next(stream)
+            assert first["event"] == "row"
+            # The held job is still pending behind this row.
+            assert not record.done
+        finally:
+            release.set()
         assert len(list(stream)) == reply["jobs"] - 1
 
     def test_blocking_fetch_returns_rows_in_submission_order(self, server):

@@ -11,6 +11,7 @@ and :class:`~repro.engine.result.SupervisionStats` tells the story.
 
 import json
 import multiprocessing
+import sys
 import threading
 import time
 import warnings
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RSConfiguration
+from repro.core import RSConfiguration, ring_netlist
 from repro.core.exceptions import (
     FaultInjectionError,
     SimulationError,
@@ -292,6 +293,33 @@ class TestQuarantine:
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, RuntimeWarning)]
         assert any("supervision before fallback" in m for m in messages)
+
+
+# ---------------------------------------------------------------------------
+# Unpicklable work: fork-inherited runners on the same supervised pool
+# ---------------------------------------------------------------------------
+
+class TestForkInheritedWork:
+    def test_unpicklable_netlist_fault_is_retried(self):
+        # A closure-based netlist cannot be pickled, so its workers inherit
+        # the driver's runners through fork — and are supervised all the
+        # same: a hard fault on the first attempt is retried, not raised.
+        if not sys.platform.startswith(("linux", "darwin")):
+            pytest.skip("fork inheritance requires a fork platform")
+        netlist, rs_counts = ring_netlist(3, rs_total=2)  # closure processes
+        controls = dict(target_firings={"stage0": 15}, max_cycles=1000)
+        serial = BatchRunner(netlist).run_many([rs_counts] * 4, **controls)
+        label = serial[0].label
+        faults.install(FaultPlan.of(FaultSpec(
+            kind="raise", label=label, simulation=False, attempt=0,
+        )))
+        runner = BatchRunner(netlist)
+        pooled = runner.run_many(
+            [rs_counts] * 4, workers=2, **controls, **FAST,
+        )
+        assert _strip_attempts(pooled) == _strip_attempts(serial)
+        assert runner.supervision.retries >= 1
+        assert runner.supervision.quarantined == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The topology-general engine: generator zoo, graph workloads, end-to-end.
 
-Three claims are pinned here (ISSUE 9 / DESIGN.md §10):
+Three claims are pinned here (DESIGN.md §9):
 
 * every generated topology — ring, DAG, mesh, torus, marked graph, seeded
   random — runs bit-identically under every kernel, and steady-state
