@@ -177,10 +177,11 @@ def simulated_throughput_objective(
 ) -> Objective:
     """Objective: the simulated throughput of *netlist* under each assignment.
 
-    Built on :class:`repro.engine.batch.BatchRunner`: the netlist layout is
-    elaborated once, every candidate only re-binds the relay chains, and the
-    runs are uninstrumented (no traces, shell stats or occupancy tracking), so
-    a search over many assignments pays the simulation cost and nothing else.
+    Built on :class:`repro.engine.evaluator.BatchEvaluator`: the netlist
+    layout is elaborated once, every candidate only re-binds the relay
+    chains, and the runs are uninstrumented (no traces, shell stats or
+    occupancy tracking), so a search over many assignments pays the
+    simulation cost and nothing else.
     *kernel* selects the simulation engine (``"compiled"`` amortises its
     per-shape code generation across the whole search).
 
@@ -205,70 +206,33 @@ def simulated_throughput_objective(
     result cache, identical candidates submitted by concurrent searches
     deduplicate in flight, and the pool/period-memory are shared with every
     other consumer of the service.  *priority* orders this objective's jobs
-    against other submitters.  ``on_error="raise"`` still raises on
-    infeasible corners; ``"zero"`` scores them 0.0.
+    against other submitters.  On either path ``on_error="raise"`` raises a
+    :class:`~repro.core.exceptions.SimulationError` on infeasible corners;
+    ``"zero"`` scores them 0.0.
     """
-    from ..engine.batch import BatchRunner
+    from ..engine.evaluator import BatchEvaluator
 
-    kwargs = {}
+    runner_kwargs = {}
     if queue_capacity is not None:
-        kwargs["queue_capacity"] = queue_capacity
-    if service is not None:
-        return _service_objective(
-            service, netlist, relaxed=relaxed, golden_cycles=golden_cycles,
-            kernel=kernel, on_error=on_error, priority=priority,
-            runner_kwargs=kwargs, run_kwargs=run_kwargs,
-        )
-    runner = BatchRunner(netlist, relaxed=relaxed, kernel=kernel, **kwargs)
-    return runner.objective(
-        golden_cycles=golden_cycles, on_error=on_error, workers=workers,
-        **run_kwargs,
+        runner_kwargs["queue_capacity"] = queue_capacity
+    evaluator = BatchEvaluator(
+        {"candidate": (netlist, relaxed)}, "objective", kernel=kernel,
+        workers=workers, service=service, priority=priority, **runner_kwargs,
     )
-
-
-def _service_objective(
-    service,
-    netlist: Netlist,
-    relaxed: bool,
-    golden_cycles: Optional[int],
-    kernel: Optional[str],
-    on_error: str,
-    priority: int,
-    runner_kwargs: Mapping[str, object],
-    run_kwargs: Mapping[str, object],
-) -> Objective:
-    """The batch objective, routed through an evaluation service."""
-    layout = service.ensure_layout(
-        netlist, relaxed=relaxed, kernel=kernel, **runner_kwargs
-    )
-
-    def score(result) -> float:
-        if result is None or result.failed:
-            if on_error == "raise":
-                raise OptimizationError(
-                    "objective evaluation failed: "
-                    f"{'cancelled' if result is None else result.error}"
-                )
-            return 0.0
-        return result.throughput(golden_cycles)
-
-    def evaluate(assignment: Mapping[str, int]) -> float:
-        config = RSConfiguration.from_mapping(assignment, label="candidate")
-        jobset = service.submit(
-            [(layout, config)], priority=priority, **run_kwargs
-        )
-        return score(jobset.ordered_results()[0])
 
     def evaluate_many(assignments: Sequence[Mapping[str, int]]) -> List[float]:
-        configs = [
-            RSConfiguration.from_mapping(assignment, label="candidate")
-            for assignment in assignments
-        ]
-        jobset = service.submit(
-            [(layout, config) for config in configs],
-            priority=priority, **run_kwargs,
+        results = evaluator.run(
+            [
+                ("candidate", RSConfiguration.from_mapping(a, label="candidate"))
+                for a in assignments
+            ],
+            on_error=on_error, **run_kwargs,
         )
-        return [score(result) for result in jobset.ordered_results()]
+        return [result.throughput(golden_cycles) for result in results]
+
+    def evaluate(assignment: Mapping[str, int]) -> float:
+        [score] = evaluate_many([assignment])
+        return score
 
     evaluate.many = evaluate_many
     return evaluate

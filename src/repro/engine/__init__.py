@@ -23,8 +23,10 @@ observers composed on top):
 configurations against one elaborated layout (warm-starting detection from
 the periods it has already seen), and
 :class:`repro.engine.batch.MultiNetlistRunner` schedules tagged batches
-over several layouts in one call; the optimiser's simulated objectives,
-the experiment sweeps and the Table 1 harness run through them.  Batches
+over several layouts in one call.  The optimiser's simulated objectives,
+the experiment sweeps and the Table 1 harness reach them through one
+:class:`repro.engine.evaluator.BatchEvaluator` each, which alone chooses
+between a private pool and an evaluation service.  Batches
 fan out through one *supervised executor*
 (:mod:`repro.engine.supervised_pool`): a single dispatcher leases shards to
 local worker processes or, through :mod:`repro.distributed`, to remote

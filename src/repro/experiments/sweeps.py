@@ -20,11 +20,13 @@ Three sweeps support the design-choice discussion of this reproduction:
   topology (:mod:`repro.topology`): ring, mesh, random DAG, ... — the probe
   process' firing rate against the static m/(m+n) bound.
 
-Every sweep accepts ``service=`` (an
-:class:`~repro.service.EvaluationService`): the whole sweep is then submitted
-as one job set through the service's scheduler — rows stream back as they
-complete (``on_result`` fires per row), identical rows submitted by anyone
-else deduplicate in flight, and re-running a sweep is served from the
+Every sweep evaluates its rows through one
+:class:`~repro.engine.evaluator.BatchEvaluator` call: a private
+:class:`~repro.engine.batch.MultiNetlistRunner` pool by default, or with
+``service=`` (an :class:`~repro.service.EvaluationService`) one job set
+through the service's scheduler — rows stream back as they complete
+(``on_result`` fires per row), identical rows submitted by anyone else
+deduplicate in flight, and re-running a sweep is served from the
 content-addressed result cache instead of simulating again.
 
 Every sweep also accepts ``kernel=`` (CLI ``--kernel``). Passing
@@ -40,11 +42,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.config import RSConfiguration
-from ..core.exceptions import SimulationError
 from ..core.floorplan import Floorplan, row_pack, spread_floorplan
 from ..core.insertion import floorplan_insertion
 from ..core.timing import ClockPlan, WireModel
-from ..engine.batch import BatchRunner, MultiNetlistRunner
+from ..engine.evaluator import BatchEvaluator
 from ..cpu.machine import CaseStudyCpu, build_pipelined_cpu
 from ..cpu.topology import DEFAULT_BLOCK_SIZES_MM, LINK_CU_IC
 from ..cpu.workloads import (
@@ -92,109 +93,36 @@ class SweepResult:
         return "\n".join(lines)
 
 
-class _SweepRunner:
-    """Shared evaluation machinery of the sweeps.
+def _cpu_throughputs(
+    cpu: CaseStudyCpu,
+    items: Sequence,
+    kernel: Optional[str],
+    workers: int,
+    steady_state: Optional[bool],
+    service,
+    on_result,
+) -> List[Tuple[float, float]]:
+    """WP1/WP2 golden-relative throughputs of *items* on *cpu*, one batch.
 
-    One :class:`~repro.engine.batch.MultiNetlistRunner` holding both wrapper
-    flavours of the CPU netlist as two layouts, so a whole sweep — WP1 and
-    WP2 points together — is one batch on one persistent pool; runs are
-    uninstrumented (the sweeps only consume cycle counts).
-
-    With *service* the batch is submitted through an
-    :class:`~repro.service.EvaluationService` instead: both flavours are
-    registered as service layouts (content-addressed, so re-registration of
-    an equal netlist reuses them) and every row goes through the service's
-    dedup + result cache; *on_result* receives each completed
-    :class:`~repro.service.Job` as it lands, in completion order — the
-    streaming hook long sweeps surface to their callers.
+    *items* are :class:`~repro.engine.batch.BatchRunner` batch items
+    (configurations, optionally with per-item ``queue_capacity``
+    overrides); both wrapper flavours of every item go through one
+    :class:`~repro.engine.evaluator.BatchEvaluator` call — a private pool,
+    or *service* when given.  Runs are uninstrumented: the sweeps only
+    consume cycle counts.
     """
-
-    def __init__(
-        self,
-        cpu: CaseStudyCpu,
-        kernel: Optional[str] = None,
-        workers: int = 1,
-        steady_state: Optional[bool] = None,
-        service=None,
-        on_result=None,
-    ) -> None:
-        self.cpu = cpu
-        self.workers = workers
-        self.steady_state = steady_state
-        self.service = service
-        self.on_result = on_result
-        if service is not None:
-            self._wp1 = service.ensure_layout(
-                cpu.netlist, relaxed=False, kernel=kernel
-            )
-            self._wp2 = service.ensure_layout(
-                cpu.netlist, relaxed=True, kernel=kernel
-            )
-            self._multi = None
-        else:
-            self._multi = MultiNetlistRunner(
-                {
-                    "wp1": BatchRunner(cpu.netlist, relaxed=False, kernel=kernel),
-                    "wp2": BatchRunner(cpu.netlist, relaxed=True, kernel=kernel),
-                }
-            )
-
-    def throughputs(
-        self,
-        golden_cycles: int,
-        configuration: RSConfiguration,
-        queue_capacity: int = 4,
-        max_cycles: int = 5_000_000,
-    ) -> Tuple[float, float]:
-        [pair] = self.throughputs_batch(
-            golden_cycles,
-            [(configuration, {"queue_capacity": queue_capacity})],
-            max_cycles=max_cycles,
-        )
-        return pair
-
-    def throughputs_batch(
-        self,
-        golden_cycles: int,
-        items: Sequence,
-        max_cycles: int = 5_000_000,
-    ) -> List[Tuple[float, float]]:
-        """WP1/WP2 golden-relative throughputs of a whole sweep in one batch.
-
-        *items* are :class:`~repro.engine.batch.BatchRunner` batch items
-        (configurations, optionally with per-item ``queue_capacity``
-        overrides); both wrapper flavours of every item go through one
-        tagged batch, sharded across worker processes when ``workers > 1``.
-        """
-        stop = self.cpu.control_unit.name
-        if self.service is not None:
-            tagged = [(self._wp1, item) for item in items]
-            tagged += [(self._wp2, item) for item in items]
-            jobset = self.service.submit(
-                tagged, queue_capacity=4, on_result=self.on_result,
-                stop_process=stop, max_cycles=max_cycles,
-                steady_state=self.steady_state,
-            )
-            results = jobset.ordered_results()
-            for result in results:
-                if result is None or result.failed:
-                    raise SimulationError(
-                        "sweep row failed: "
-                        f"{'cancelled' if result is None else result.error}"
-                    )
-        else:
-            tagged = [("wp1", item) for item in items]
-            tagged += [("wp2", item) for item in items]
-            results = self._multi.run_many(
-                tagged, workers=self.workers, queue_capacity=4,
-                stop_process=stop, max_cycles=max_cycles,
-                steady_state=self.steady_state,
-            )
-        wp1, wp2 = results[: len(items)], results[len(items):]
-        return [
-            (golden_cycles / r1.cycles, golden_cycles / r2.cycles)
-            for r1, r2 in zip(wp1, wp2)
-        ]
+    # The golden run mutates the live netlist, and service layout names and
+    # cache keys hash it: keep it before the layouts are registered.
+    golden = cpu.run_golden(record_trace=False).cycles
+    evaluator = BatchEvaluator.wrappers(
+        cpu.netlist, "sweep", kernel=kernel, workers=workers,
+        service=service, on_result=on_result,
+    )
+    wp1, wp2 = evaluator.run_wrappers(
+        items, queue_capacity=4, stop_process=cpu.control_unit.name,
+        steady_state=steady_state,
+    )
+    return [(golden / r1.cycles, golden / r2.cycles) for r1, r2 in zip(wp1, wp2)]
 
 
 def queue_capacity_sweep(
@@ -213,11 +141,6 @@ def queue_capacity_sweep(
     if configuration is None:
         configuration = RSConfiguration.uniform(1, exclude=(LINK_CU_IC,))
     cpu = build_pipelined_cpu(workload.program)
-    golden = cpu.run_golden(record_trace=False)
-    runner = _SweepRunner(
-        cpu, kernel=kernel, workers=workers, steady_state=steady_state,
-        service=service, on_result=on_result,
-    )
     result = SweepResult(
         name=f"Wrapper FIFO depth sweep — {workload.name}",
         parameter_name="fifo depth",
@@ -225,9 +148,10 @@ def queue_capacity_sweep(
     items = [
         (configuration, {"queue_capacity": capacity}) for capacity in capacities
     ]
-    for capacity, (wp1, wp2) in zip(
-        capacities, runner.throughputs_batch(golden.cycles, items)
-    ):
+    throughputs = _cpu_throughputs(
+        cpu, items, kernel, workers, steady_state, service, on_result
+    )
+    for capacity, (wp1, wp2) in zip(capacities, throughputs):
         result.points.append(SweepPoint(parameter=float(capacity), wp1_throughput=wp1, wp2_throughput=wp2))
     return result
 
@@ -246,11 +170,6 @@ def uniform_depth_sweep(
     if workload is None:
         workload = make_extraction_sort(length=10)
     cpu = build_pipelined_cpu(workload.program)
-    golden = cpu.run_golden(record_trace=False)
-    runner = _SweepRunner(
-        cpu, kernel=kernel, workers=workers, steady_state=steady_state,
-        service=service, on_result=on_result,
-    )
     result = SweepResult(
         name=f"Uniform pipelining depth sweep — {workload.name}",
         parameter_name="RS per link",
@@ -258,9 +177,10 @@ def uniform_depth_sweep(
     configurations = [
         RSConfiguration.uniform(depth, exclude=exclude) for depth in depths
     ]
-    for depth, (wp1, wp2) in zip(
-        depths, runner.throughputs_batch(golden.cycles, configurations)
-    ):
+    throughputs = _cpu_throughputs(
+        cpu, configurations, kernel, workers, steady_state, service, on_result
+    )
+    for depth, (wp1, wp2) in zip(depths, throughputs):
         result.points.append(SweepPoint(parameter=float(depth), wp1_throughput=wp1, wp2_throughput=wp2))
     return result
 
@@ -296,11 +216,6 @@ def clock_frequency_sweep(
         floorplan = default_floorplan(spread=2.0)
     model = wire_model if wire_model is not None else WireModel()
     cpu = build_pipelined_cpu(workload.program)
-    golden = cpu.run_golden(record_trace=False)
-    runner = _SweepRunner(
-        cpu, kernel=kernel, workers=workers, steady_state=steady_state,
-        service=service, on_result=on_result,
-    )
     result = SweepResult(
         name=f"Clock-frequency sweep — {workload.name}",
         parameter_name="clock (GHz)",
@@ -311,7 +226,9 @@ def clock_frequency_sweep(
         configurations.append(
             floorplan_insertion(cpu.netlist, floorplan, clock, model)
         )
-    throughputs = runner.throughputs_batch(golden.cycles, configurations)
+    throughputs = _cpu_throughputs(
+        cpu, configurations, kernel, workers, steady_state, service, on_result
+    )
     for frequency, configuration, (wp1, wp2) in zip(
         frequencies_ghz, configurations, throughputs
     ):
@@ -381,57 +298,25 @@ def mixed_workload_sweep(
         configurations = [
             RSConfiguration.uniform(depth, exclude=exclude) for depth in depths
         ]
-    stop = next(iter(cpus.values())).control_unit.name
-
-    if service is not None:
-        layout_names: Dict[str, str] = {}
-        for name, cpu in cpus.items():
-            layout_names[f"{name}/wp1"] = service.ensure_layout(
-                cpu.netlist, relaxed=False, kernel=kernel
-            )
-            layout_names[f"{name}/wp2"] = service.ensure_layout(
-                cpu.netlist, relaxed=True, kernel=kernel
-            )
-        items = [
-            (key, (configuration, {"queue_capacity": capacity}))
-            for key in layout_names
-            for configuration in configurations
-            for capacity in queue_capacities
-        ]
-        jobset = service.submit(
-            [(layout_names[key], item) for key, item in items],
-            tags=[key for key, _ in items],
-            on_result=on_result,
-            stop_process=stop, max_cycles=max_cycles,
-            steady_state=steady_state,
-        )
-        results = jobset.ordered_results()
-        for result in results:
-            if result is None or result.failed:
-                raise SimulationError(
-                    "mixed sweep row failed: "
-                    f"{'cancelled' if result is None else result.error}"
-                )
-    else:
-        runners = {}
-        for name, cpu in cpus.items():
-            runners[f"{name}/wp1"] = BatchRunner(
-                cpu.netlist, relaxed=False, kernel=kernel
-            )
-            runners[f"{name}/wp2"] = BatchRunner(
-                cpu.netlist, relaxed=True, kernel=kernel
-            )
-        multi = MultiNetlistRunner(runners)
-        items = [
-            (key, (configuration, {"queue_capacity": capacity}))
-            for key in runners
-            for configuration in configurations
-            for capacity in queue_capacities
-        ]
-        results = multi.run_many(
-            items, workers=workers,
-            stop_process=stop, max_cycles=max_cycles, steady_state=steady_state,
-        )
+    layouts = {
+        f"{name}/{flavour}": (cpu.netlist, flavour == "wp2")
+        for name, cpu in cpus.items()
+        for flavour in ("wp1", "wp2")
+    }
+    evaluator = BatchEvaluator(
+        layouts, "mixed sweep", kernel=kernel, workers=workers,
+        service=service, on_result=on_result,
+    )
+    items = [
+        (key, (configuration, {"queue_capacity": capacity}))
+        for key in layouts
+        for configuration in configurations
+        for capacity in queue_capacities
+    ]
+    results = evaluator.run(
+        items, stop_process=next(iter(cpus.values())).control_unit.name,
+        max_cycles=max_cycles, steady_state=steady_state,
+    )
 
     by_key: Dict[str, List] = {}
     for (key, _), result in zip(items, results):
@@ -510,47 +395,20 @@ def topology_sweep(
     else:
         run_kwargs["horizon"] = horizon
 
-    def merged(depth: int) -> Dict[str, int]:
-        counts = dict(topology.rs_counts)
-        for link in netlist.link_names():
-            for chan in netlist.channels_of_link(link):
-                counts[chan.name] = counts.get(chan.name, 0) + depth
-        return counts
-
-    rows = [merged(depth) for depth in depths]
-    if service is not None:
-        wp1 = service.ensure_layout(netlist, relaxed=False, kernel=kernel)
-        wp2 = service.ensure_layout(netlist, relaxed=True, kernel=kernel)
-        tagged = [(wp1, row) for row in rows] + [(wp2, row) for row in rows]
-        jobset = service.submit(
-            tagged, on_result=on_result, steady_state=steady_state,
-            **run_kwargs,
-        )
-        results = jobset.ordered_results()
-        for result in results:
-            if result is None or result.failed:
-                raise SimulationError(
-                    "topology sweep row failed: "
-                    f"{'cancelled' if result is None else result.error}"
-                )
-    else:
-        multi = MultiNetlistRunner(
-            {
-                "wp1": BatchRunner(netlist, relaxed=False, kernel=kernel),
-                "wp2": BatchRunner(netlist, relaxed=True, kernel=kernel),
-            }
-        )
-        tagged = [("wp1", row) for row in rows] + [("wp2", row) for row in rows]
-        results = multi.run_many(
-            tagged, workers=workers, steady_state=steady_state, **run_kwargs,
-        )
+    rows = [topology.counts_with_depth(depth) for depth in depths]
+    evaluator = BatchEvaluator.wrappers(
+        netlist, "topology sweep", kernel=kernel, workers=workers,
+        service=service, on_result=on_result,
+    )
+    wp1, wp2 = evaluator.run_wrappers(
+        rows, steady_state=steady_state, **run_kwargs
+    )
 
     sweep = SweepResult(
         name=f"Topology depth sweep — {topology.info.name}",
         parameter_name="extra RS per link",
     )
-    n = len(rows)
-    for depth, row, r1, r2 in zip(depths, rows, results[:n], results[n:]):
+    for depth, row, r1, r2 in zip(depths, rows, wp1, wp2):
         bound = throughput_bound(netlist, row).bound
         sweep.points.append(
             SweepPoint(

@@ -23,7 +23,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from ..core.config import RSConfiguration
 from ..core.equivalence import n_equivalent
-from ..core.exceptions import EquivalenceError, SimulationError
 from ..core.golden import GoldenResult
 from ..core.optimizer import SearchSpace, annealing_search, exhaustive_search
 from ..core.static_analysis import make_link_bound_evaluator, throughput_bound
@@ -281,62 +280,35 @@ def _evaluate_rows_batched(
     steady_state: Optional[bool] = None,
     service=None,
 ) -> List[Table1Row]:
-    from ..engine.batch import BatchRunner, MultiNetlistRunner
+    from ..engine.evaluator import BatchEvaluator
 
-    stop = cpu.control_unit.name
+    on_result = None
     if progress is not None:
         progress(
             f"evaluating {len(configurations)} rows "
             f"(batched, workers={workers}"
             f"{', via service' if service is not None else ''})"
         )
-    # One CPU loop iteration spans thousands of cycles, so horizon rows let
-    # the detector search all the way to the horizon (certified-mode keys
-    # are hashed: one int of search memory per cycle).
-    if service is not None:
-        wp1 = service.ensure_layout(cpu.netlist, relaxed=False, kernel=kernel)
-        wp2 = service.ensure_layout(cpu.netlist, relaxed=True, kernel=kernel)
-        tagged = [(wp1, config) for config in configurations]
-        tagged += [(wp2, config) for config in configurations]
-        on_result = None
-        if progress is not None:
-            done_count = itertools.count(1)
-            on_result = lambda job: progress(  # noqa: E731 - local observer
-                f"row done ({next(done_count)}/{len(tagged)}): "
-                f"{job.layout} {job.label}"
-                f"{' [cached]' if job.cached else ''}"
-            )
-        jobset = service.submit(
-            tagged, on_result=on_result,
-            stop_process=stop, max_cycles=max_cycles,
-            horizon=horizon, steady_state=steady_state,
-            steady_state_window=horizon,
+        done_count = itertools.count(1)
+        on_result = lambda job: progress(  # noqa: E731 - local observer
+            f"row done ({next(done_count)}/{2 * len(configurations)}): "
+            f"{job.layout} {job.label}"
+            f"{' [cached]' if job.cached else ''}"
         )
-        results = jobset.ordered_results()
-        for result in results:
-            if result is None or result.failed:
-                raise SimulationError(
-                    "table1 row failed: "
-                    f"{'cancelled' if result is None else result.error}"
-                )
-    else:
-        # Both wrapper flavours share one multi-netlist scheduler (and one
-        # worker pool): WP1 and WP2 rows interleave in a single tagged batch.
-        multi = MultiNetlistRunner(
-            {
-                "wp1": BatchRunner(cpu.netlist, relaxed=False, kernel=kernel),
-                "wp2": BatchRunner(cpu.netlist, relaxed=True, kernel=kernel),
-            }
-        )
-        tagged = [("wp1", config) for config in configurations]
-        tagged += [("wp2", config) for config in configurations]
-        results = multi.run_many(
-            tagged, workers=workers, stop_process=stop, max_cycles=max_cycles,
-            horizon=horizon, steady_state=steady_state,
-            steady_state_window=horizon,
-        )
-    wp1_results = results[: len(configurations)]
-    wp2_results = results[len(configurations):]
+    # Both wrapper flavours share one scheduler (and one worker pool): WP1
+    # and WP2 rows interleave in a single tagged batch.  One CPU loop
+    # iteration spans thousands of cycles, so horizon rows let the detector
+    # search all the way to the horizon (certified-mode keys are hashed: one
+    # int of search memory per cycle).
+    evaluator = BatchEvaluator.wrappers(
+        cpu.netlist, "table1", kernel=kernel, workers=workers,
+        service=service, on_result=on_result,
+    )
+    wp1_results, wp2_results = evaluator.run_wrappers(
+        configurations, stop_process=cpu.control_unit.name,
+        max_cycles=max_cycles, horizon=horizon, steady_state=steady_state,
+        steady_state_window=horizon,
+    )
 
     def row_throughput(summary) -> float:
         if not summary.cycles:

@@ -394,7 +394,7 @@ class ReproServer:
         for index, entry in enumerate(entries):
             if isinstance(entry, int):
                 if topology is not None:
-                    configs.append(_merged_depth(topology, entry))
+                    configs.append(topology.counts_with_depth(entry))
                 else:
                     configs.append(
                         RSConfiguration.uniform(entry, exclude=uniform_exclude)
@@ -766,16 +766,6 @@ def _json_params(params: Dict[str, Any]) -> Dict[str, Any]:
             value = tuple(value)
         out[str(name).replace("-", "_")] = value
     return out
-
-
-def _merged_depth(topology, depth: int) -> Dict[str, int]:
-    """The topology's baseline RS counts plus *depth* extra per link."""
-    counts = dict(topology.rs_counts)
-    netlist = topology.netlist
-    for link in netlist.link_names():
-        for chan in netlist.channels_of_link(link):
-            counts[chan.name] = counts.get(chan.name, 0) + depth
-    return counts
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -155,6 +155,14 @@ class GeneratedTopology:
     def describe(self) -> str:
         return "\n".join([self.info.describe(), self.netlist.describe()])
 
+    def counts_with_depth(self, depth: int) -> Dict[str, int]:
+        """The baseline RS counts plus *depth* on every channel of every link."""
+        counts = dict(self.rs_counts)
+        for link in self.netlist.link_names():
+            for chan in self.netlist.channels_of_link(link):
+                counts[chan.name] = counts.get(chan.name, 0) + depth
+        return counts
+
 
 def _finish(
     kind: str,

@@ -39,7 +39,13 @@ from repro.cpu.workloads import make_extraction_sort, make_matrix_multiply
 from repro.engine.batch import BatchResult, BatchRunner, MultiNetlistRunner
 from repro.engine.result import LidResult
 from repro.engine.steady_state import PeriodMemory
-from repro.experiments.sweeps import mixed_workload_sweep, uniform_depth_sweep
+from repro.experiments.sweeps import (
+    clock_frequency_sweep,
+    mixed_workload_sweep,
+    queue_capacity_sweep,
+    topology_sweep,
+    uniform_depth_sweep,
+)
 from repro.experiments.table1 import run_table1_sort
 from repro.service import (
     EvaluationService,
@@ -49,6 +55,7 @@ from repro.service import (
     result_key,
 )
 from repro.engine.kernel import RunControls
+from repro.topology import ring_topology
 
 
 # ---------------------------------------------------------------------------
@@ -821,21 +828,68 @@ class TestSharedPeriodMemory:
 # Consumer integrations
 # ---------------------------------------------------------------------------
 
+def _points(sweep):
+    return [(p.parameter, p.wp1_throughput, p.wp2_throughput) for p in sweep.points]
+
+
+def _sort6():
+    return make_extraction_sort(length=6, seed=7)
+
+
+#: Every consumer of the shared evaluation path, as ``service -> rows``.
+_CONSUMERS = {
+    "queue_capacity": lambda service: _points(queue_capacity_sweep(
+        workload=_sort6(), capacities=(2, 4), service=service,
+    )),
+    "uniform_depth": lambda service: _points(uniform_depth_sweep(
+        workload=_sort6(), service=service,
+    )),
+    "clock_frequency": lambda service: [
+        (p.parameter, p.wp1_throughput, p.wp2_throughput, p.detail)
+        for p in clock_frequency_sweep(
+            workload=_sort6(), frequencies_ghz=(0.6, 1.5), service=service,
+        ).points
+    ],
+    "mixed_workload": lambda service: {
+        name: _points(sweep)
+        for name, sweep in mixed_workload_sweep(
+            workloads={"sort": _sort6(), "matmul": make_matrix_multiply(size=2, seed=7)},
+            depths=(0, 1), service=service,
+        ).items()
+    },
+    "topology_ring": lambda service: _points(topology_sweep(
+        topology=ring_topology(stages=4, rs_total=1), depths=(0, 1),
+        horizon=400, service=service,
+    )),
+    "table1_sort": lambda service: [
+        row.as_dict()
+        for row in run_table1_sort(length=6, seed=7, service=service).rows
+    ],
+}
+
+
 class TestConsumersThroughService:
-    def test_uniform_depth_sweep_service_path_matches_direct(self):
-        workload = make_extraction_sort(length=6, seed=7)
-        direct = uniform_depth_sweep(workload=workload)
+    @pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+    def test_service_path_matches_direct(self, consumer):
+        run = _CONSUMERS[consumer]
+        direct = run(None)
         with EvaluationService() as service:
-            served = uniform_depth_sweep(workload=workload, service=service)
-            again = uniform_depth_sweep(workload=workload, service=service)
-        for sweep in (served, again):
-            assert [
-                (p.parameter, p.wp1_throughput, p.wp2_throughput)
-                for p in sweep.points
-            ] == [
-                (p.parameter, p.wp1_throughput, p.wp2_throughput)
-                for p in direct.points
-            ]
+            served = run(service)
+            evaluated = service.evaluated
+            again = run(service)
+            # The re-run is answered from the result cache.
+            assert service.evaluated == evaluated
+        for rows in (served, again):
+            assert rows == direct
+
+    @pytest.mark.parametrize("served", [False, True], ids=["direct", "service"])
+    def test_unfinishable_row_raises_on_both_paths(self, served):
+        with EvaluationService() as service:
+            with pytest.raises(SimulationError, match="All 1 \\(no CU-IC\\)"):
+                mixed_workload_sweep(
+                    workloads={"sort": _sort6()}, depths=(1,), max_cycles=50,
+                    service=service if served else None,
+                )
 
     def test_table1_service_path_matches_direct(self):
         direct = run_table1_sort(length=6, seed=7)
