@@ -42,8 +42,9 @@ service with a persistent content-addressed result cache — re-running the
 same command is then served from disk instead of re-simulating.  ``sweep
 --stream`` prints each row to stderr the moment it completes (through the
 same service).  ``submit`` is the raw service front door: it builds a mixed
-WP1+WP2 job set over the chosen workloads and depths, streams completions
-through the async iterator, and reports cache/dedup statistics.
+WP1+WP2 job set over the chosen workloads and depths as the same JSON
+specs a daemon accepts, resolves them through the service's spec resolver,
+streams completions, and reports cache/dedup statistics.
 
 Distributed evaluation (see :mod:`repro.distributed`): ``submit --serve
 [HOST:]PORT`` starts a coordinator and fans shards out to remote worker
@@ -346,6 +347,8 @@ def _add_worker(subparsers) -> None:
 
 
 def _add_topology(subparsers) -> None:
+    from .engine.kernel import FREE_RUNNING_HORIZON
+
     parser = subparsers.add_parser(
         "topology",
         help="generate, describe or sweep a synthetic netlist topology",
@@ -379,7 +382,7 @@ def _add_topology(subparsers) -> None:
     parser.add_argument(
         "--horizon",
         type=int,
-        default=4_000,
+        default=FREE_RUNNING_HORIZON,
         help="cycle horizon for free-running (non-terminating) topologies",
     )
     parser.add_argument(
@@ -574,23 +577,31 @@ def _make_service(args):
 
 
 def _stream_printer(total=None):
-    """An ``on_result`` callback printing one stderr line per completed row."""
+    """A callback printing one stderr line per completed row.
+
+    It takes a service job (the ``on_result`` of the streaming sweeps) or
+    the event dict a daemon streams for one.
+    """
     import itertools
 
     counter = itertools.count(1)
 
-    def on_result(job) -> None:
-        result = job.result
-        origin = "cached" if job.cached else (
-            "deduped" if job.deduped else "simulated"
+    def on_result(row) -> None:
+        if not isinstance(row, dict):
+            from .server.encoding import job_event
+
+            row = job_event(row.tag, row)
+        origin = "cached" if row["cached"] else (
+            "deduped" if row["deduped"] else "simulated"
         )
+        result = row["result"]
         detail = (
-            f"cycles={result.cycles}" if result is not None else job.status.value
+            f"cycles={result['cycles']}" if result is not None else row["status"]
         )
         index = next(counter)
         prefix = f"[{index}/{total}]" if total is not None else f"[{index}]"
         print(
-            f"{prefix} {job.layout} · {job.label}: {detail} ({origin})",
+            f"{prefix} {row['layout']} · {row['label']}: {detail} ({origin})",
             file=sys.stderr,
             flush=True,
         )
@@ -697,55 +708,89 @@ def _run_sweep(args, service=None) -> int:
     return 0
 
 
-def _run_submit(args, service) -> int:
-    """Build a mixed WP1+WP2 job set and stream it through the service."""
-    import asyncio
+def _submit_bodies(args):
+    """The ``submit`` sweep as daemon request bodies, one per workload.
 
-    from .core.config import RSConfiguration
-    from .cpu.machine import build_pipelined_cpu
-    from .cpu.topology import LINK_CU_IC
-    from .cpu.workloads import make_extraction_sort, make_matrix_multiply
-
-    steady_state = _steady_state_flag(args)
-    makers = {
-        "sort": lambda: make_extraction_sort(length=args.sort_length, seed=2005),
-        "matmul": lambda: make_matrix_multiply(size=args.matmul_size, seed=2005),
-    }
+    Both transports send exactly these: ``--connect`` posts them, the
+    in-process path resolves them against its own service.
+    """
     names = [name.strip() for name in args.workloads.split(",") if name.strip()]
-    unknown = [name for name in names if name not in makers]
+    unknown = [name for name in names if name not in ("sort", "matmul")]
     if unknown:
         print(f"unknown workloads: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    depths = [int(depth) for depth in args.depths.split(",") if depth.strip()]
-    configurations = [
-        RSConfiguration.uniform(depth, exclude=(LINK_CU_IC,)) for depth in depths
+        return None
+    shape = {
+        "sort": {"length": args.sort_length},
+        "matmul": {"size": args.matmul_size},
+    }
+    controls = {"max_cycles": args.max_cycles}
+    if _steady_state_flag(args) is False:
+        controls["steady_state"] = False
+    return [
+        {
+            "spec": {
+                "kind": "workload", "workload": name, **shape[name],
+                "seed": 2005,
+            },
+            "wrappers": ["wp1", "wp2"],
+            "configurations": [
+                int(depth) for depth in args.depths.split(",") if depth.strip()
+            ],
+            "queue_capacity": args.queue_capacity,
+            "kernel": args.kernel,
+            "controls": controls,
+        }
+        for name in names
     ]
 
-    items = []
-    stop = None
-    for name in names:
-        cpu = build_pipelined_cpu(makers[name]().program)
-        stop = cpu.control_unit.name
-        for relaxed in (False, True):
-            layout = service.ensure_layout(
-                cpu.netlist, relaxed=relaxed, kernel=args.kernel
+
+def _run_submit(args, service) -> int:
+    """Run the mixed WP1+WP2 sweep on *service*, or on the daemon at
+    ``--connect`` when *service* is None, and print each row as it lands."""
+    bodies = _submit_bodies(args)
+    if bodies is None:
+        return 2
+    if service is None:
+        from .server.client import ServerClient
+
+        token = args.token or os.environ.get("REPRO_SERVER_TOKEN") or None
+        client = ServerClient.connect(args.connect, token=token)
+        replies = [client.submit(body) for body in bodies]
+        total = sum(reply["jobs"] for reply in replies)
+        streams = [
+            client.stream(reply["job_set_id"], binary=args.binary)
+            for reply in replies
+        ]
+    else:
+        from .server.encoding import job_event
+        from .service.spec import SpecResolver, parse_submission
+
+        resolver = SpecResolver(service)
+        resolved = [resolver.resolve(parse_submission(body)) for body in bodies]
+        total = sum(len(items) for items, _, _ in resolved)
+        jobsets = [
+            service.submit(
+                items, priority=args.priority,
+                queue_capacity=args.queue_capacity, **controls,
             )
-            items.extend((layout, config) for config in configurations)
-
-    printer = _stream_printer(len(items))
-
-    async def drain() -> None:
-        async for job in service.stream(
-            items,
-            priority=args.priority,
-            queue_capacity=args.queue_capacity,
-            stop_process=stop,
-            max_cycles=args.max_cycles,
-            steady_state=steady_state,
-        ):
-            printer(job)
-
-    asyncio.run(drain())
+            for items, controls, _ in resolved
+        ]
+        streams = [
+            (job_event(job.tag, job) for job in jobset.results())
+            for jobset in jobsets
+        ]
+    printer = _stream_printer(total)
+    failed = 0
+    for stream in streams:
+        for event in stream:
+            printer(event)
+            failed += event["status"] != "done"
+    if service is None:
+        print(
+            f"{total} jobs streamed from {args.connect} "
+            f"({len(replies)} job set(s), {failed} not done)"
+        )
+        return 0 if failed == 0 else 1
     stats = service.stats()
     cache = stats["cache"]
     print(
@@ -754,73 +799,6 @@ def _run_submit(args, service) -> int:
         f"{stats['deduped']} deduplicated, {stats['failed']} failed"
     )
     return 0
-
-
-def _run_submit_remote(args) -> int:
-    """The ``submit --connect`` path: same sweep, sent to a daemon."""
-    from .server.client import ServerClient
-
-    token = args.token or os.environ.get("REPRO_SERVER_TOKEN") or None
-    client = ServerClient.connect(args.connect, token=token)
-    names = [name.strip() for name in args.workloads.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ("sort", "matmul")]
-    if unknown:
-        print(f"unknown workloads: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    depths = [int(depth) for depth in args.depths.split(",") if depth.strip()]
-    controls = {"max_cycles": args.max_cycles}
-    if _steady_state_flag(args) is False:
-        controls["steady_state"] = False
-
-    submissions = []
-    for name in names:
-        spec = (
-            {"kind": "workload", "workload": "sort",
-             "length": args.sort_length, "seed": 2005}
-            if name == "sort"
-            else {"kind": "workload", "workload": "matmul",
-                  "size": args.matmul_size, "seed": 2005}
-        )
-        reply = client.submit({
-            "spec": spec,
-            "wrappers": ["wp1", "wp2"],
-            "configurations": depths,
-            "queue_capacity": args.queue_capacity,
-            "kernel": args.kernel,
-            "controls": controls,
-        })
-        submissions.append(reply)
-    total = sum(reply["jobs"] for reply in submissions)
-    printer = _stream_printer(total)
-    failed = 0
-    for reply in submissions:
-        for event in client.stream(reply["job_set_id"], binary=args.binary):
-            printer(_RemoteRow(event))
-            if event["status"] != "done":
-                failed += 1
-    print(
-        f"{total} jobs streamed from {args.connect} "
-        f"({len(submissions)} job set(s), {failed} not done)"
-    )
-    return 0 if failed == 0 else 1
-
-
-class _RemoteRow:
-    """Adapt a streamed row event to the duck type _stream_printer expects."""
-
-    def __init__(self, event) -> None:
-        from .engine.batch import BatchResult
-        from .service import JobStatus
-
-        self.layout = event["layout"]
-        self.label = event["label"]
-        self.cached = event["cached"]
-        self.deduped = event["deduped"]
-        self.status = JobStatus(event["status"])
-        self.result = (
-            None if event["result"] is None
-            else BatchResult.from_dict(event["result"])
-        )
 
 
 def _run_serve(args) -> int:
@@ -931,7 +909,7 @@ def _dispatch(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        return _run_submit_remote(args)
+        return _run_submit(args, None)
     service = _make_service(args)
     try:
         if args.command == "table1":

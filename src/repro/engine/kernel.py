@@ -45,6 +45,11 @@ DEFAULT_KERNEL = "fast"
 #: kernel is requested explicitly (CI and benchmarks switch kernels with it).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
+#: Cycle horizon a free-running netlist (one with no stop process) runs to
+#: when the caller names none: the default of ``topology_sweep``, of
+#: ``repro topology sweep --horizon`` and of the daemon's topology specs.
+FREE_RUNNING_HORIZON = 4_000
+
 
 @dataclass
 class RunControls:

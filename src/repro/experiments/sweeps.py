@@ -46,6 +46,7 @@ from ..core.floorplan import Floorplan, row_pack, spread_floorplan
 from ..core.insertion import floorplan_insertion
 from ..core.timing import ClockPlan, WireModel
 from ..engine.evaluator import BatchEvaluator
+from ..engine.kernel import FREE_RUNNING_HORIZON
 from ..cpu.machine import CaseStudyCpu, build_pipelined_cpu
 from ..cpu.topology import DEFAULT_BLOCK_SIZES_MM, LINK_CU_IC
 from ..cpu.workloads import (
@@ -355,7 +356,7 @@ def topology_sweep(
     params: Optional[Mapping[str, object]] = None,
     kernel: Optional[str] = None,
     workers: int = 1,
-    horizon: int = 4_000,
+    horizon: int = FREE_RUNNING_HORIZON,
     max_cycles: int = 5_000_000,
     steady_state: Optional[bool] = None,
     service=None,

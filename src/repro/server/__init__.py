@@ -16,8 +16,8 @@ The pieces:
   streaming;
 * :mod:`~repro.server.tenancy` — API tokens, priorities, ``max_pending``
   quotas, stride-scheduled fair admission, ``REPRO_SERVER_*`` validation;
-* :mod:`~repro.server.encoding` — JSON submissions in; SSE or
-  checksummed binary frames out;
+* :mod:`~repro.server.encoding` — SSE or checksummed binary frames out
+  (JSON specs in are :mod:`repro.service.spec`'s);
 * :mod:`~repro.server.router` — method + path-pattern dispatch.
 
 Stdlib only, like the rest of the repo.

@@ -3,7 +3,9 @@
 :class:`ReproServer` is the serving tier's composition root (DESIGN.md
 §10).  It owns the service (and optionally a distributed
 :class:`~repro.distributed.Coordinator`, so remote ``repro worker`` agents
-drain daemon jobs), a :class:`~repro.server.tenancy.TenantRegistry`, and a
+drain daemon jobs), the :class:`~repro.service.spec.SpecResolver` that
+gives every JSON spec its meaning, a
+:class:`~repro.server.tenancy.TenantRegistry`, and a
 ``ThreadingHTTPServer`` whose handler routes through
 :mod:`repro.server.router`:
 
@@ -53,20 +55,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..core.config import RSConfiguration
 from ..core.exceptions import SimulationError
 from ..engine import faults
 from ..service import EvaluationService, ResultCache
+from ..service.spec import SpecResolver, UnknownLayoutError, parse_submission
 from .encoding import (
     FRAMES_CONTENT,
     JSON_CONTENT,
     SSE_CONTENT,
-    Submission,
     encode_frame,
     encode_sse,
     end_event,
     job_event,
-    parse_submission,
 )
 from .router import Router
 from .tenancy import AuthError, QuotaError, Tenant, TenantRegistry
@@ -168,12 +168,9 @@ class ReproServer:
         self._ids = itertools.count(1)
         self.rows_streamed = 0
         self.requests: Dict[str, int] = {}
-        #: Spec-derived context recorded per layout — control defaults
-        #: (stop process / horizon) and how integer depths become
-        #: configurations — so re-addressing a layout by name/digest
-        #: reproduces the original run identity (and therefore hits the
-        #: same cache entries) without the client restating any of it.
-        self._layout_context: Dict[str, Dict[str, Any]] = {}
+        #: What every submitted spec means (and the per-layout context
+        #: that digest re-addressing reuses).
+        self.specs = SpecResolver(self.service)
         self._router = self._build_router()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
@@ -269,163 +266,6 @@ class ReproServer:
         with self._lock:
             self.requests[name] = self.requests.get(name, 0) + 1
 
-    # -- spec materialisation ---------------------------------------------------
-    def _materialise(
-        self, sub: Submission
-    ) -> Tuple[List[Tuple[str, Any]], Dict[str, Any], List[str]]:
-        """A submission → (tagged items, control kwargs, layout names)."""
-        controls = dict(sub.controls)
-        if sub.kind == "workload":
-            from ..cpu.machine import build_pipelined_cpu
-            from ..cpu.topology import LINK_CU_IC
-            from ..cpu.workloads import (
-                make_extraction_sort,
-                make_matrix_multiply,
-            )
-
-            if sub.workload == "sort":
-                workload = make_extraction_sort(length=sub.length, seed=sub.seed)
-            else:
-                workload = make_matrix_multiply(size=sub.size, seed=sub.seed)
-            cpu = build_pipelined_cpu(workload.program)
-            netlist = cpu.netlist
-            defaults = {"stop_process": cpu.control_unit.name}
-            for name, value in defaults.items():
-                controls.setdefault(name, value)
-            configs = self._configurations(
-                sub.configurations, uniform_exclude=(LINK_CU_IC,)
-            )
-            layouts = [
-                self.service.ensure_layout(
-                    netlist, relaxed=(wrapper == "wp2"), kernel=sub.kernel
-                )
-                for wrapper in sub.wrappers
-            ]
-            self._remember_context(
-                layouts, defaults, uniform_exclude=(LINK_CU_IC,)
-            )
-        elif sub.kind == "topology":
-            from ..topology import make_topology
-
-            try:
-                topology = make_topology(
-                    sub.topology, **_json_params(sub.params)
-                )
-            except (SimulationError, TypeError) as exc:
-                raise HttpError(400, f"invalid topology spec: {exc}") from exc
-            netlist = topology.netlist
-            if topology.stop_process is not None:
-                defaults = {"stop_process": topology.stop_process}
-            else:
-                defaults = {"horizon": 4_000}
-            for name, value in defaults.items():
-                controls.setdefault(name, value)
-            configs = self._configurations(
-                sub.configurations, topology=topology
-            )
-            layouts = [
-                self.service.ensure_layout(
-                    netlist, relaxed=(wrapper == "wp2"), kernel=sub.kernel
-                )
-                for wrapper in sub.wrappers
-            ]
-            self._remember_context(layouts, defaults, topology=topology)
-        else:  # layout: reuse something already registered, under the
-            # context its spec established (control defaults, how depths
-            # become configurations) — same run identity, same cache
-            # entries.
-            layouts = [self._resolve_layout(sub.layout)]
-            with self._lock:
-                context = self._layout_context.get(layouts[0], {})
-                defaults = dict(context.get("defaults", {}))
-            for name, value in defaults.items():
-                controls.setdefault(name, value)
-            configs = self._configurations(
-                sub.configurations,
-                uniform_exclude=context.get("uniform_exclude", ()),
-                topology=context.get("topology"),
-            )
-        items = [
-            (layout, config) for layout in layouts for config in configs
-        ]
-        return items, controls, layouts
-
-    def _remember_context(
-        self,
-        layouts: List[str],
-        defaults: Dict[str, Any],
-        uniform_exclude: Tuple[str, ...] = (),
-        topology=None,
-    ) -> None:
-        with self._lock:
-            for layout in layouts:
-                self._layout_context.setdefault(layout, {
-                    "defaults": dict(defaults),
-                    "uniform_exclude": uniform_exclude,
-                    "topology": topology,
-                })
-
-    def _resolve_layout(self, wanted: str) -> str:
-        registered = self.service.layouts
-        if wanted in registered:
-            return wanted
-        # Layout names embed the netlist content digest (`nl-<digest12>-…`);
-        # accept an unambiguous digest prefix as the address.
-        matches = [name for name in registered if wanted in name]
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise HttpError(
-                404,
-                f"no registered layout matches {wanted!r}; "
-                f"registered: {registered}",
-            )
-        raise HttpError(
-            400, f"layout {wanted!r} is ambiguous: matches {sorted(matches)}"
-        )
-
-    def _configurations(
-        self,
-        entries: List[Any],
-        uniform_exclude: Tuple[str, ...] = (),
-        topology=None,
-    ) -> List[Any]:
-        configs: List[Any] = []
-        for index, entry in enumerate(entries):
-            if isinstance(entry, int):
-                if topology is not None:
-                    configs.append(topology.counts_with_depth(entry))
-                else:
-                    configs.append(
-                        RSConfiguration.uniform(entry, exclude=uniform_exclude)
-                    )
-                continue
-            counts = entry.get("counts")
-            if counts is not None:
-                if not isinstance(counts, dict):
-                    raise HttpError(
-                        400, f"configuration #{index}: 'counts' must map "
-                        "channel names to integers"
-                    )
-                configs.append({str(k): int(v) for k, v in counts.items()})
-                continue
-            try:
-                configs.append(
-                    RSConfiguration(
-                        label=str(entry.get("label", f"custom-{index}")),
-                        default=int(entry.get("default", 0)),
-                        overrides={
-                            str(k): int(v)
-                            for k, v in entry.get("overrides", {}).items()
-                        },
-                    )
-                )
-            except (SimulationError, TypeError, ValueError, AttributeError) as exc:
-                raise HttpError(
-                    400, f"invalid configuration #{index}: {exc}"
-                ) from exc
-        return configs
-
     # -- endpoint implementations ------------------------------------------------
     def submit(
         self, tenant: Tenant, body: Dict[str, Any]
@@ -437,9 +277,9 @@ class ReproServer:
             )
         sub = parse_submission(body)
         try:
-            items, control_kwargs, layouts = self._materialise(sub)
-        except HttpError:
-            raise
+            items, control_kwargs, layouts = self.specs.resolve(sub)
+        except UnknownLayoutError as exc:
+            raise HttpError(404, str(exc)) from exc
         except SimulationError as exc:
             raise HttpError(400, str(exc)) from exc
         priorities = self.registry.admit(tenant, len(items))
@@ -756,16 +596,6 @@ def _num(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _json_params(params: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON generator params → python kwargs (lists become tuples)."""
-    out: Dict[str, Any] = {}
-    for name, value in params.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        out[str(name).replace("-", "_")] = value
-    return out
 
 
 class _Handler(BaseHTTPRequestHandler):

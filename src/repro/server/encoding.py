@@ -1,24 +1,9 @@
 """Wire formats of the serving tier: batch specs in, result rows out.
 
-**Requests** are JSON.  A submission body names *what to simulate* without
-shipping code: a workload from the CPU zoo, a topology from the generator
-zoo, or an already-registered layout (by exact name or by netlist-digest
-prefix — layout names embed the content digest, so a digest a client
-learned from one submission re-addresses the same netlist later)::
-
-    {"spec": {"kind": "workload", "workload": "sort", "length": 10},
-     "wrappers": ["wp1", "wp2"],
-     "configurations": [0, 1, 2,
-                        {"label": "deep RF-DC", "default": 1,
-                         "overrides": {"RF-DC": 3}}],
-     "queue_capacity": 4,
-     "kernel": null,
-     "controls": {"max_cycles": 5000000}}
-
-:func:`parse_submission` validates the body into a :class:`Submission`
-(every error names the offending field; the daemon maps them to HTTP 400)
-and :func:`parse_controls` builds the :class:`RunControls` — observer-free
-by construction, so every server job is content-addressable and cacheable.
+**Requests** are JSON job specs, validated and resolved by
+:mod:`repro.service.spec`; :class:`Submission`, :func:`parse_submission`
+and :func:`parse_controls` are re-exported here for existing importers.
+The daemon maps spec errors to HTTP 400 (404 for an unmatched layout).
 
 **Responses** stream one *event* per completed job (see :func:`job_event`)
 in two negotiable encodings:
@@ -41,233 +26,18 @@ from __future__ import annotations
 
 import json
 import pickle
-from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterator, List, Optional, Tuple
+from typing import Any, Dict, IO, Iterator
 
-from ..core.exceptions import SimulationError
 from ..distributed.protocol import frame_bytes, read_frame
-from ..engine.kernel import RunControls
+from ..service.spec import (  # noqa: F401 - re-exported request decoding
+    Submission,
+    parse_controls,
+    parse_submission,
+)
 
 JSON_CONTENT = "application/json"
 SSE_CONTENT = "text/event-stream"
 FRAMES_CONTENT = "application/x-repro-frames"
-
-#: Spec kinds a submission may carry.
-SPEC_KINDS = ("workload", "topology", "layout")
-#: CPU workloads the ``workload`` kind knows how to build.
-WORKLOADS = ("sort", "matmul")
-#: Wrapper flavours.
-WRAPPERS = ("wp1", "wp2")
-
-
-# ---------------------------------------------------------------------------
-# Request decoding
-# ---------------------------------------------------------------------------
-
-#: RunControls fields a client may set, with their JSON validators.
-_CONTROL_FIELDS = {
-    "max_cycles": int,
-    "stop_process": str,
-    "target_firings": dict,
-    "extra_cycles": int,
-    "deadlock_limit": int,
-    "horizon": int,
-    "steady_state": bool,
-    "steady_state_window": int,
-    "shard_timeout": (int, float),
-    "max_shard_retries": int,
-    "retry_backoff": (int, float),
-}
-
-
-def parse_controls(data: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """Validate the ``controls`` object into RunControls keyword arguments.
-
-    Returns the kwargs rather than a built object so the daemon can fill
-    spec-derived defaults (a workload's stop process, a topology's horizon)
-    before construction.  ``on_cycle`` is not reachable from the wire —
-    server jobs stay cacheable by construction.
-    """
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise SimulationError(
-            f"'controls' must be an object, got {type(data).__name__}"
-        )
-    unknown = set(data) - set(_CONTROL_FIELDS)
-    if unknown:
-        raise SimulationError(
-            f"unknown controls fields {sorted(unknown)} "
-            f"(valid: {sorted(_CONTROL_FIELDS)})"
-        )
-    kwargs: Dict[str, Any] = {}
-    for name, value in data.items():
-        if value is None:
-            continue
-        expected = _CONTROL_FIELDS[name]
-        if not isinstance(value, expected) or isinstance(value, bool) != (
-            expected is bool
-        ):
-            raise SimulationError(
-                f"controls field {name!r} has the wrong type "
-                f"({type(value).__name__})"
-            )
-        kwargs[name] = value
-    targets = kwargs.get("target_firings")
-    if targets is not None:
-        for process, count in targets.items():
-            if not isinstance(process, str) or not isinstance(count, int):
-                raise SimulationError(
-                    "controls field 'target_firings' must map process "
-                    "names to integers"
-                )
-    return kwargs
-
-
-@dataclass(frozen=True)
-class Submission:
-    """One validated ``POST /v1/jobs`` body (resolution happens in the app)."""
-
-    kind: str
-    #: kind == "workload": which CPU workload, and its shape parameters.
-    workload: str = "sort"
-    length: int = 10
-    size: int = 3
-    seed: int = 2005
-    #: kind == "topology": generator name + parameters.
-    topology: str = "ring"
-    params: Dict[str, Any] = field(default_factory=dict)
-    #: kind == "layout": registered layout name or netlist-digest prefix.
-    layout: str = ""
-    wrappers: Tuple[str, ...] = WRAPPERS
-    #: Raw configuration entries: ints (uniform depth) or objects.
-    configurations: List[Any] = field(default_factory=list)
-    queue_capacity: Optional[int] = None
-    kernel: Optional[str] = None
-    controls: Dict[str, Any] = field(default_factory=dict)
-
-
-def _require(data: Dict[str, Any], name: str, types, default=None):
-    value = data.get(name, default)
-    if value is default and default is not None:
-        return default
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SimulationError(
-            f"spec field {name!r} must be {getattr(types, '__name__', types)}"
-        )
-    return value
-
-
-def parse_submission(body: Dict[str, Any]) -> Submission:
-    """Validate a submission body; every error names the offending field."""
-    if not isinstance(body, dict):
-        raise SimulationError(
-            f"submission body must be a JSON object, got {type(body).__name__}"
-        )
-    known = {
-        "spec", "wrappers", "configurations", "queue_capacity", "kernel",
-        "controls",
-    }
-    unknown = set(body) - known
-    if unknown:
-        raise SimulationError(
-            f"unknown submission fields {sorted(unknown)} "
-            f"(valid: {sorted(known)})"
-        )
-    spec = body.get("spec")
-    if not isinstance(spec, dict):
-        raise SimulationError("'spec' must be an object naming what to run")
-    kind = spec.get("kind")
-    if kind not in SPEC_KINDS:
-        raise SimulationError(
-            f"spec field 'kind' must be one of {list(SPEC_KINDS)}, "
-            f"got {kind!r}"
-        )
-
-    wrappers = body.get("wrappers", list(WRAPPERS))
-    if (
-        not isinstance(wrappers, list)
-        or not wrappers
-        or any(w not in WRAPPERS for w in wrappers)
-    ):
-        raise SimulationError(
-            f"'wrappers' must be a non-empty list drawn from {list(WRAPPERS)}"
-        )
-
-    configurations = body.get("configurations")
-    if not isinstance(configurations, list) or not configurations:
-        raise SimulationError(
-            "'configurations' must be a non-empty list of depths (ints) "
-            "or configuration objects"
-        )
-    for index, entry in enumerate(configurations):
-        if isinstance(entry, bool) or not isinstance(entry, (int, dict)):
-            raise SimulationError(
-                f"configuration #{index} must be an int depth or an object, "
-                f"got {type(entry).__name__}"
-            )
-        if isinstance(entry, int) and entry < 0:
-            raise SimulationError(
-                f"configuration #{index}: depth must be >= 0, got {entry}"
-            )
-
-    queue_capacity = body.get("queue_capacity")
-    if queue_capacity is not None and (
-        isinstance(queue_capacity, bool)
-        or not isinstance(queue_capacity, int)
-        or queue_capacity < 1
-    ):
-        raise SimulationError("'queue_capacity' must be a positive integer")
-
-    kernel = body.get("kernel")
-    if kernel is not None and not isinstance(kernel, str):
-        raise SimulationError("'kernel' must be a kernel name string")
-
-    fields: Dict[str, Any] = {
-        "kind": kind,
-        "wrappers": tuple(wrappers),
-        "configurations": configurations,
-        "queue_capacity": queue_capacity,
-        "kernel": kernel,
-        "controls": parse_controls(body.get("controls")),
-    }
-    if kind == "workload":
-        workload = spec.get("workload", "sort")
-        if workload not in WORKLOADS:
-            raise SimulationError(
-                f"spec field 'workload' must be one of {list(WORKLOADS)}, "
-                f"got {workload!r}"
-            )
-        fields.update(
-            workload=workload,
-            length=_require(spec, "length", int, 10),
-            size=_require(spec, "size", int, 3),
-            seed=_require(spec, "seed", int, 2005),
-        )
-    elif kind == "topology":
-        name = spec.get("topology")
-        if not isinstance(name, str) or not name:
-            raise SimulationError(
-                "spec field 'topology' must name a generator kind"
-            )
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise SimulationError("spec field 'params' must be an object")
-        fields.update(topology=name, params=params)
-    else:  # layout
-        layout = spec.get("layout")
-        if not isinstance(layout, str) or not layout:
-            raise SimulationError(
-                "spec field 'layout' must be a registered layout name or "
-                "netlist-digest prefix"
-            )
-        fields.update(layout=layout)
-    return Submission(**fields)
-
-
-# ---------------------------------------------------------------------------
-# Response encoding
-# ---------------------------------------------------------------------------
 
 
 def job_event(index: int, job) -> Dict[str, Any]:

@@ -12,7 +12,10 @@ simulate the same configuration twice.
 * :class:`ResultCache` — the content-addressed result store (in-memory LRU
   plus optional on-disk JSON tier with checksum-verified entries; corrupt
   files are quarantined as ``<key>.corrupt``, never trusted);
-* :class:`Job` / :class:`JobSet` / :class:`JobStatus` — the job model.
+* :class:`Job` / :class:`JobSet` / :class:`JobStatus` — the job model;
+* :class:`SpecResolver` — what a JSON job spec means: the one resolver
+  behind the daemon and the in-process ``repro submit``
+  (:mod:`repro.service.spec`).
 
 Quick start::
 
@@ -34,6 +37,7 @@ Quick start::
 from .cache import CACHE_SCHEMA_VERSION, ResultCache, controls_signature, result_key
 from .jobs import Job, JobSet, JobStatus
 from .scheduler import EvaluationService
+from .spec import SpecResolver
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -42,6 +46,7 @@ __all__ = [
     "JobSet",
     "JobStatus",
     "ResultCache",
+    "SpecResolver",
     "controls_signature",
     "result_key",
 ]

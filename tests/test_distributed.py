@@ -734,3 +734,29 @@ class TestCLI:
         assert _parse_address("0.0.0.0:81") == ("0.0.0.0", 81)
         with pytest.raises(SystemExit):
             _parse_address("nope")
+
+    def test_in_process_submit_matches_submit_connect(self, capsys):
+        import re
+
+        from repro.__main__ import main
+        from repro.server import ReproServer
+
+        argv = ["submit", "--workloads", "sort,matmul", "--sort-length", "6",
+                "--matmul-size", "2", "--depths", "0,1"]
+        row = re.compile(r"\[\d+/8\] (\S+) · (.+): cycles=(\d+) \(\w+\)$")
+
+        def printed_rows(stderr):
+            # Other stderr lines (e.g. from earlier tests' threads) are not rows.
+            matches = map(row.match, stderr.splitlines())
+            return sorted(match.groups() for match in matches if match)
+
+        assert main(argv) == 0
+        local = capsys.readouterr()
+        assert "8 jobs: 8 simulated" in local.out
+        with ReproServer(port=0) as server:
+            host, port = server.address
+            assert main(argv + ["--connect", f"{host}:{port}"]) == 0
+        remote = capsys.readouterr()
+        assert "8 jobs streamed" in remote.out
+        assert len(printed_rows(local.err)) == 8, local.err
+        assert printed_rows(local.err) == printed_rows(remote.err), remote.err

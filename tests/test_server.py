@@ -509,6 +509,87 @@ class TestRoundTrip:
         assert "anonymous" in status
 
 
+class TestSpecErrors:
+    """The statuses a spec error answers with, and digest-prefix addressing."""
+
+    RING = {"kind": "topology", "topology": "ring", "params": {"stages": 3}}
+
+    @pytest.fixture()
+    def daemon(self):
+        """An open-access daemon whose jobs stay parked (never simulated)."""
+        service = EvaluationService(autostart=False)
+        with ReproServer(port=0, service=service) as srv:
+            yield srv
+
+    @staticmethod
+    def add_layouts(server, *names):
+        from repro.topology import make_topology
+
+        runner = BatchRunner(make_topology("ring", stages=3).netlist)
+        for name in names:
+            server.service.add_layout(name, runner)
+
+    def status_of(self, server, body):
+        with pytest.raises(ServerError) as err:
+            make_client(server).submit(body)
+        return err.value.status, str(err.value)
+
+    def test_unknown_layout_is_404(self, daemon):
+        status, message = self.status_of(daemon, {
+            "spec": {"kind": "layout", "layout": "deadbeef"},
+            "configurations": [0],
+        })
+        assert status == 404
+        assert "deadbeef" in message
+
+    def test_ambiguous_digest_prefix_is_400(self, daemon):
+        self.add_layouts(
+            daemon,
+            "nl-abc123456789-wp1-fast-q4-r2", "nl-abc999999999-wp1-fast-q4-r2",
+        )
+        status, message = self.status_of(daemon, {
+            "spec": {"kind": "layout", "layout": "abc"},
+            "configurations": [0],
+        })
+        assert status == 400
+        assert "ambiguous" in message
+
+    def test_bad_topology_params_are_400(self, daemon):
+        status, message = self.status_of(daemon, {
+            "spec": {**self.RING, "params": {"stages": 3, "bogus": 1}},
+            "configurations": [0],
+        })
+        assert status == 400
+        assert "invalid topology spec" in message
+
+    @pytest.mark.parametrize("entry", [
+        {"default": "deep"}, {"counts": [1, 2]}, {"overrides": 3},
+    ])
+    def test_malformed_configuration_is_400(self, daemon, entry):
+        status, message = self.status_of(daemon, {
+            "spec": self.RING, "configurations": [0, entry],
+        })
+        assert status == 400
+        assert "configuration #1" in message
+        # Configurations are checked before any layout is registered.
+        assert daemon.service.layouts == []
+
+    def test_digest_prefix_matches_the_digest_field_only(self, daemon):
+        first = "nl-abc123456789-wp2-compiled-q4-r2"
+        self.add_layouts(daemon, first, "nl-999abc000000-wp1-fast-q4-r2")
+        reply = daemon.submit(daemon.registry.authenticate(None), {
+            "spec": {"kind": "layout", "layout": "abc"},
+            "configurations": [{"counts": {}}],
+            "controls": {"horizon": 50},
+        })
+        assert reply["layouts"] == [first]
+        status, _ = self.status_of(daemon, {
+            "spec": {"kind": "layout", "layout": "wp2"},
+            "configurations": [0],
+        })
+        assert status == 404
+
+
 # ---------------------------------------------------------------------------
 # Multi-tenant behaviour over the socket
 # ---------------------------------------------------------------------------
