@@ -12,8 +12,9 @@ The package is organised in three layers:
   control variants, and the two workloads (extraction sort, matrix multiply).
 * :mod:`repro.engine` — the layered simulation engine behind
   :class:`repro.core.simulator.LidSimulator`: elaboration of netlists into
-  flat runtime models, selectable execution kernels (object-based reference /
-  array-based fast), opt-in instrumentation passes, and the batch runner that
+  flat runtime models, selectable execution kernels (object-based reference,
+  code-generating compiled — the default — and array-based fast), opt-in
+  instrumentation passes, and the batch runner that
   evaluates many relay-station configurations against one elaborated model.
 * :mod:`repro.experiments` — harnesses regenerating every table and figure of
   the paper (Table 1 for both workloads, the Figure 1 loop report, the

@@ -24,8 +24,8 @@ simulating commands (``table1``, ``multicycle``, ``sweep``, ``submit``)
 accept ``--kernel reference|fast|compiled|lockstep`` to select the simulation
 engine
 (see :mod:`repro.engine`); when the flag is omitted the ``REPRO_KERNEL``
-environment variable is consulted, and the fast array-based kernel is the
-final default.  ``table1`` and ``sweep`` also accept ``--shards N`` to
+environment variable is consulted, and the compiled kernel is the final
+default.  ``table1`` and ``sweep`` also accept ``--shards N`` to
 evaluate their configuration batches on N worker processes, and
 ``--no-steady-state`` to disable steady-state period detection (threaded
 through the run controls of every simulation the command starts; the
@@ -85,9 +85,9 @@ def _add_kernel_option(parser) -> None:
         default=None,
         help=(
             "simulation kernel; omitted -> $REPRO_KERNEL if set, "
-            "else the fast array-based kernel; lockstep vectorises "
+            "else the compiled kernel; lockstep vectorises "
             "same-layout configuration batches with NumPy (repro[fast]) "
-            "and falls back to fast where ineligible"
+            "and falls back to compiled where ineligible"
         ),
     )
 
@@ -489,7 +489,7 @@ def _topology_eligibility(topology) -> str:
     lines = ["eligibility:"]
     lines.append(
         "  lockstep kernel: eligible" if reason is None
-        else f"  lockstep kernel: falls back to fast ({reason})"
+        else f"  lockstep kernel: falls back to compiled ({reason})"
     )
     lines.append(f"  steady-state detection: {steady}")
     return "\n".join(lines)

@@ -19,10 +19,10 @@ traces and per-shell stall statistics.
 :class:`LidSimulator` is a thin facade over the layered engine in
 :mod:`repro.engine` (see DESIGN.md): elaboration compiles the netlist +
 configuration into a flat model, a selectable kernel executes it
-(``kernel="fast"`` is the default array-based hot path, ``"compiled"`` the
-codegen-specialized one, ``"reference"`` the original object-based
-machinery; the ``REPRO_KERNEL`` environment variable overrides the
-default), and instrumentation passes opt in to traces, shell statistics and
+(``kernel="compiled"`` is the default codegen-specialized hot path,
+``"fast"`` the interpreting array kernel, ``"reference"`` the original
+object-based machinery; the ``REPRO_KERNEL`` environment variable
+overrides the default), and instrumentation passes opt in to traces, shell statistics and
 occupancy tracking.
 """
 
@@ -64,8 +64,8 @@ class LidSimulator:
         (per-link :class:`RSConfiguration`) may be given; omitting both means
         zero relay stations everywhere.
 
-        *kernel* selects the execution engine (``"fast"``, ``"compiled"`` or
-        ``"reference"``; ``None`` consults the ``REPRO_KERNEL`` environment
+        *kernel* selects the execution engine (``"compiled"``, ``"fast"``,
+        ``"reference"`` or ``"lockstep"``; ``None`` consults the ``REPRO_KERNEL`` environment
         variable, then :data:`repro.engine.DEFAULT_KERNEL`).  *instruments*
         selects the observation passes; the default keeps the historical
         always-on behaviour (stats + occupancy, trace per *record_trace*).
@@ -93,8 +93,8 @@ class LidSimulator:
         )
         self._kernel = make_kernel(self.model, self.kernel_name)
         # The object-based runtime view (shells, channel pipelines) only
-        # exists under the reference kernel; the fast kernel keeps its run
-        # state in flat arrays private to each run.
+        # exists under the reference kernel; the other kernels keep their run
+        # state private to each run.
         if isinstance(self._kernel, ReferenceKernel):
             self.shells = self._kernel.shells
             self.pipelines = self._kernel.pipelines

@@ -6,11 +6,13 @@ observers composed on top):
 
 * :mod:`repro.engine.elaboration` — compile a netlist + relay-station
   configuration into a flat, integer-indexed :class:`ElaboratedModel`;
-* :mod:`repro.engine.kernel` — the :class:`SimKernel` interface with three
+* :mod:`repro.engine.kernel` — the :class:`SimKernel` interface with four
   implementations: the object-based :class:`ReferenceKernel` (the executable
-  specification), the array-based :class:`FastKernel` (the default) and the
-  codegen-specialized :class:`CompiledKernel` (the hot path; see
-  :mod:`repro.engine.codegen`);
+  specification), the codegen-specialized :class:`CompiledKernel` (the
+  default hot path: one generated function per netlist shape, see
+  :mod:`repro.engine.codegen`), the interpreting array-based
+  :class:`FastKernel`, and the NumPy :class:`LockstepKernel` for
+  same-layout batches;
 * :mod:`repro.engine.instrumentation` — traces, shell statistics and queue
   occupancy as opt-in passes (:class:`InstrumentSet`);
 * :mod:`repro.engine.steady_state` — steady-state period detection and

@@ -1,39 +1,42 @@
-"""Code generation for the compiled kernel: netlist -> specialized Python.
+"""Code generation for the compiled kernel: netlist shape -> specialized Python.
 
-The fast kernel already removed every per-cycle name lookup, but it still
-*interprets* the elaborated model each cycle: generic loops over shell
-records, per-port loops with tuple unpacking, a generic loop over the
-precomputed relay-station hops.  This module removes that last layer of
-interpretation by emitting Python **source** specialized to one elaborated
-model:
+The compiled kernel runs a generated Python function instead of
+interpreting the elaborated model each cycle.  The generated code is
+specialized on what decides the loop's **control flow** — the
+process/channel graph, port names, process order, each process' hook
+flags, the wrapper flavour, the instrument flags, the stop mode and the
+steady-state/horizon plumbing — and reads everything a relay-station
+vector changes as **runtime data** bound at the top of each call.  One
+function therefore serves every RS vector and every element capacity of one
+netlist shape, and every fresh layout of an already-seen shape (DESIGN.md
+§3):
 
-* every storage element becomes a local variable (``q7``) bound to a
-  ``deque`` once (with its ``append``/``popleft`` pre-bound), so token
-  movement is a C-level method call on a local;
+* every shell input FIFO becomes a local ``deque`` (``q7``, with its
+  ``append``/``popleft`` pre-bound) plus an integer occupancy counter
+  (``n7``) maintained at each push/pop site, and a capacity local (``c7``)
+  bound from the binding; no ``len()`` call runs on the hot path;
 * queues hold **raw values, not (value, tag) pairs**: on a correct channel
   tokens arrive in strictly increasing, gapless tag order, so the head tag
   of a shell FIFO is simply the number of tokens ever popped from it.  WP1
   consumes one token per port per firing, which makes the head tag always
   equal to the consumer's firing counter — the per-port tag checks vanish
-  entirely and a WP1 shell's whole firing guard folds into one ``and``
-  chain over queue truthiness and latched capacities.  WP2 keeps one
-  integer counter per shell FIFO (``g7``), incremented on every pop,
-  against which stale-token discarding compares.  No tuple is ever
-  allocated for a moving token.  (The interpreting kernels' future-tag
-  invariant check is unreachable on a correct engine and has no equivalent
-  here; the cross-kernel property suite is the safety net.)
-* the per-cycle occupancy latch disappears: every element whose
-  start-of-cycle occupancy is read carries an integer counter (``n7``)
-  maintained at each push/pop site.  Relay-station forwarding decisions are
-  evaluated at the top of the cycle (``h3 = n7 and n5 < 4``) where the
-  counters still hold start-of-cycle values, and committed after the shell
-  phase; back-pressure reads use the counter directly when no earlier shell
-  can have touched the element this cycle, or a one-integer copy (``l7 =
-  n7``) latched at the top of the cycle otherwise.  No ``len()`` call runs
-  on the hot path — the occupancy instrument included: maxima are sampled
-  from the counters at the commit sites (every sample equals the element's
-  end-of-commit-phase occupancy, exactly what the fast kernel's deferred
-  sampling records);
+  and a WP1 shell's whole firing guard folds into one ``and`` chain.  WP2
+  keeps one integer counter per oracle shell FIFO (``g7``), incremented on
+  every pop, against which stale-token discarding compares.  No tuple is
+  ever allocated for a moving token;
+* each channel's relay stations — however many, zero included — are one
+  ``deque`` (``R3``) holding every token in flight on the chain, oldest
+  first, plus one integer state (``s3``) encoding the per-station
+  occupancies.  At the top of the cycle one lookup in the chain's
+  transition table (``T3``, see :func:`chain_table`) yields ``x3``: the
+  state delta of this cycle's forwarding moves, whether the oldest token
+  enters the destination FIFO, and whether the channel's entry element has
+  room for a launch (the producer's back-pressure guard, ``x3 & 1``).  A
+  launch appends to ``R3`` and adds the binding's push increment to ``x3``
+  (one more token in the first station, or — on a channel without relay
+  stations — a token that enters the destination FIFO this cycle).  The
+  commit phase applies ``x3`` after the shells.  Every decision reads
+  start-of-cycle state, exactly as in the interpreting kernels;
 * hooks the processes do not override are folded away: a process that never
   overrides ``is_done`` loses its per-cycle done guard (the base method is
   the constant ``False``); one that declares
@@ -41,68 +44,58 @@ model:
   that attribute instead of calling the method; and a WP2 process without a
   ``required_ports`` override skips the oracle call and the unknown-port
   validation;
-* a produced token whose destination cannot be observed again this cycle —
-  the first element of the channel is a relay station (never read live), or
-  the consuming shell is the producer itself or fired earlier in process
-  order — is appended immediately; the remaining launches wait in one
-  pending-slot local per channel, committed after the forwarding phase
-  (occupancy tracking defers every launch so the sampled maxima match the
-  fast kernel exactly);
 * instrumentation (trace / shell stats / occupancy) is **compiled in only
   when the corresponding pass is enabled** — the uninstrumented objective
   path contains no counters beyond the occupancy integers the guards need,
-  no ``Token`` objects and no occupancy samples at all, not even behind a
-  branch;
+  no ``Token`` objects and no occupancy samples at all;
 * when the run is eligible for **steady-state detection** (see
   :mod:`repro.engine.steady_state` and DESIGN.md §4), the canonical
   snapshot is compiled into the loop as one tuple of the pre-maintained
-  integers — occupancy counters, firing-counter differences, the sampled
-  ``schedule_state()`` of the few dynamic processes — keyed into a plain
-  dict.  No per-cycle reconstruction of queue contents happens; detection
-  overhead stays within a few percent of the uninstrumented loop, and once
-  a period is measured the generated jump block advances cycles, firing
-  counters, ``g`` counters and stall statistics analytically.
+  integers — FIFO counters, chain states, firing-counter differences, the
+  sampled ``schedule_state()`` of the few dynamic processes — keyed into a
+  plain dict.  Once a period is measured the generated jump block advances
+  cycles, firing counters, ``g`` counters and stall statistics
+  analytically.
 
 The generated function is an entire run loop (not a per-cycle callable): the
 stop condition, drain window and deadlock detection are cheap per-cycle
 scalar checks, and keeping them inside the generated frame means the hot
-locals (queues, counters, firing counters) never cross a call boundary.  The
-loop is additionally specialized on the stop-condition *mode* (any-done /
-firing-targets / stop-process), on whether a cycle **horizon** bounds the
-run (reaching it is a normal halt, not a timeout), and on whether the
-steady-state detector is armed; the stop condition is only re-evaluated
+locals never cross a call boundary.  The stop condition is only re-evaluated
 after a cycle in which something fired (process state — and therefore
 ``is_done`` and firing counts — cannot change on an idle cycle).
 
-Scheduling semantics are identical to :class:`~repro.engine.fast.FastKernel`
-by construction — the generator mirrors its phase structure (see DESIGN.md
-§3 for why the latched-snapshot commit argument is preserved) — and the
-property suite in ``tests/test_engine.py`` pins cycle-for-cycle equality
-across all three kernels.
+Scheduling semantics match :class:`~repro.engine.reference.ReferenceKernel`
+cycle for cycle; the property suites in ``tests/test_engine.py`` and
+``tests/test_steady_state.py`` pin the equality across kernels.
 
-Compilation is cached on the :class:`~repro.engine.elaboration.NetlistLayout`
-keyed by the *configuration signature*: the relay-chain shape, the element
-capacities, the wrapper flavour, the instrument flags, the stop mode and the
-horizon / steady-state flags.  Re-binding the same layout to a configuration
-with the same signature (the batch runner and the optimiser do this
-constantly) reuses the compiled code object.
+Compiled functions live in one bounded, process-wide LRU
+(:data:`CODE_CACHE_SIZE` entries) keyed by :func:`model_signature`: the
+layout's structural shape (computed once per layout) plus the wrapper,
+instrument, stop-mode, steady-state and horizon flags.  The generated
+namespace holds only structural constants (port-name sets and helper
+functions), so a cached function never keeps a layout, a process or a
+netlist alive.  The per-binding runtime data (:func:`run_binding`) is
+computed once per elaborated model.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Callable, Dict, List, Set, Tuple
+import os
+import threading
+from collections import OrderedDict, defaultdict, deque
+from functools import lru_cache
+from typing import Callable, List, Tuple
 
 from ..core.exceptions import (
     DeadlockError,
     ProtocolError,
     SimulationError,
 )
-from ..core.process import Process, overrides_hook
+from ..core.process import overrides_hook
 from ..core.tokens import Token, VOID
-from .elaboration import ElaboratedModel
-from .fast import _raise_output_mismatch
+from .elaboration import ElaboratedModel, NetlistLayout
 from .instrumentation import InstrumentSet
+from .kernel import raise_output_mismatch
 from .steady_state import (
     certify_model,
     channel_offset_pairs,
@@ -113,18 +106,31 @@ from .steady_state import (
 #: Name of the generated entry point inside the compiled namespace.
 ENTRY_POINT = "__lid_run"
 
-#: Attribute under which the per-layout compilation cache is stored.
-_CACHE_ATTR = "_compiled_run_cache"
+#: Most compiled run functions the process-wide cache keeps (least recently
+#: used evicted first).  One netlist shape needs one entry per wrapper and
+#: loop variant (stop mode, steady-state, horizon, instruments).
+CODE_CACHE_SIZE = 256
+
+#: Most relay-chain transition tables kept (one per tuple of station
+#: capacities; every chain of that tuple shares it).
+CHAIN_TABLE_CACHE_SIZE = 128
 
 #: Stop-condition modes a run loop can be specialized for.
 STOP_ANY_DONE = 0      #: stop when any process reports done
 STOP_TARGET = 1        #: stop once per-process firing targets are met
 STOP_PROCESS = 2       #: stop when one designated process reports done
 
+#: Push increments added to a channel's ``x`` by a launch: on a channel
+#: with relay stations the token enters the first station (chain state
+#: +1, i.e. +2 in the doubled encoding, shifted past the two flag bits);
+#: on a channel without, it enters the destination FIFO at commit.
+_PUSH_TO_STATION = 8
+_PUSH_TO_FIFO = 2
 
-def _overrides(process: Process, method: str) -> bool:
-    """Back-compat alias of :func:`repro.core.process.overrides_hook`."""
-    return overrides_hook(process, method)
+#: Per-layout attribute holding the layout's :class:`_Shape`.
+_SHAPE_ATTR = "_codegen_shape"
+#: Per-model attribute holding the model's :func:`run_binding`.
+_BINDING_ATTR = "_codegen_binding"
 
 
 def resolve_stop(controls, proc_names):
@@ -154,6 +160,224 @@ def _raise_unknown_ports(name: str, required, portset) -> None:
         f"{sorted(required - portset)}"
     )
 
+
+def _raise_deadlock(idle: int, cycles: int, label, layout: NetlistLayout) -> None:
+    # A sustained stall needs a dependency cycle; point at the loop-closing
+    # channels of this (arbitrary-shape) netlist.
+    hint = layout.topology().deadlock_hint(layout.chan_names)
+    raise DeadlockError(
+        f"no process fired for {idle} consecutive cycles "
+        f"(cycle {cycles}, configuration {label!r}){hint}"
+    )
+
+
+def _sample_chain(mo: List[int], stations: Tuple, state: int) -> None:
+    """Fold the per-station occupancies of one chain state into *mo*."""
+    state >>= 1
+    for qid, base in stations:
+        count = state % base
+        state //= base
+        if count > mo[qid]:
+            mo[qid] = count
+
+
+# -- relay chains ---------------------------------------------------------------
+
+class _ChainTable(dict):
+    """Transition table of one relay chain, filled on first use per entry.
+
+    A chain of ``k`` stations with capacities ``caps`` is in state
+    ``sum(count_i * weight_i)`` (mixed radix, station 0 — the one a launch
+    enters — least significant).  The table is indexed by ``2 * state +
+    room``, ``room`` being whether the destination FIFO had space at the top
+    of the cycle, and holds ``(2 * delta) << 2 | enters << 1 | entry_room``:
+    ``delta`` is the state change of this cycle's forwarding moves, every
+    station forwarding its oldest token when it held one at the top of the
+    cycle and the next element had space then; ``enters`` says the last
+    station forwards into the destination FIFO; ``entry_room`` says the
+    first station can take a launch.  With no stations the entry element
+    *is* the destination FIFO, so the entry is just ``room``.  Entries are
+    computed on demand: only states a run visits are ever built, so a long
+    chain costs nothing up front.
+    """
+
+    __slots__ = ("caps", "weights")
+
+    def __init__(self, caps: Tuple[int, ...]) -> None:
+        super().__init__()
+        self.caps = caps
+        weights = []
+        weight = 1
+        for cap in caps:
+            weights.append(weight)
+            weight *= cap + 1
+        self.weights = tuple(weights)
+
+    def __missing__(self, index: int) -> int:
+        caps = self.caps
+        room = index & 1
+        if not caps:
+            self[index] = room
+            return room
+        state = index >> 1
+        counts = []
+        for cap in caps:
+            counts.append(state % (cap + 1))
+            state //= cap + 1
+        last = len(caps) - 1
+        delta = 0
+        enters = 0
+        for i, count in enumerate(counts):
+            if not count:
+                continue
+            if i < last:
+                if counts[i + 1] < caps[i + 1]:
+                    delta += self.weights[i + 1] - self.weights[i]
+            elif room:
+                delta -= self.weights[i]
+                enters = 1
+        entry = (2 * delta) << 2 | enters << 1 | (counts[0] < caps[0])
+        self[index] = entry
+        return entry
+
+
+@lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
+def chain_table(caps: Tuple[int, ...]) -> _ChainTable:
+    """The shared transition table of relay chains with station *caps*."""
+    return _ChainTable(caps)
+
+
+def run_binding(model: ElaboratedModel) -> Tuple:
+    """The runtime data one call of a generated run function reads.
+
+    ``(fifo capacities, per-channel transition tables, per-channel push
+    increments, per-channel initial values, per-channel station plans
+    (qid, radix) for the occupancy instrument, element count, layout)``.
+    Computed once per elaborated model and kept on it.
+    """
+    binding = model.__dict__.get(_BINDING_ATTR)
+    if binding is None:
+        layout = model.layout
+        caps = model.queue_caps
+        tables = []
+        pushes = []
+        stations = []
+        for chain in model.chan_chain:
+            relays = chain[:-1]
+            tables.append(chain_table(tuple(caps[q] for q in relays)))
+            pushes.append(_PUSH_TO_STATION if relays else _PUSH_TO_FIFO)
+            stations.append(tuple((q, caps[q] + 1) for q in relays))
+        binding = (
+            caps[: layout.n_shell_queues],
+            tables,
+            pushes,
+            list(layout.chan_initial),
+            stations,
+            len(caps),
+            layout,
+        )
+        setattr(model, _BINDING_ATTR, binding)
+    return binding
+
+
+# -- cache keys -------------------------------------------------------------------
+
+class _Shape:
+    """A layout's structural signature with its hash computed once."""
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: Tuple) -> None:
+        self.key = key
+        self._hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, _Shape)
+            and self._hash == other._hash
+            and self.key == other.key
+        )
+
+    def __reduce__(self):
+        # String hashes differ between interpreters: rehash on unpickling.
+        return _Shape, (self.key,)
+
+
+def layout_shape(layout: NetlistLayout) -> _Shape:
+    """What generated code depends on in *layout*, computed once per layout.
+
+    The port names of every process (inputs in FIFO order, declared
+    outputs), which channels each connected output port drives, every
+    channel's destination FIFO, and each process' hook flags: ``is_done`` /
+    ``required_ports`` / ``schedule_jump`` overrides and its
+    ``done_attribute``.  Process and channel names, relay stations,
+    capacities and initial values are not part of it.
+    """
+    shape = layout.__dict__.get(_SHAPE_ATTR)
+    if shape is None:
+        procs = layout.processes
+        shape = _Shape(
+            (
+                tuple(layout.in_ports),
+                tuple(tuple(p.output_ports) for p in procs),
+                tuple(
+                    tuple((port, tuple(cids)) for port, cids in ports)
+                    for ports in layout.out_ports
+                ),
+                tuple(layout.chan_dest_qid),
+                tuple(
+                    (
+                        overrides_hook(p, "is_done"),
+                        p.done_attribute,
+                        overrides_hook(p, "required_ports"),
+                        overrides_hook(p, "schedule_jump"),
+                    )
+                    for p in procs
+                ),
+            )
+        )
+        setattr(layout, _SHAPE_ATTR, shape)
+    return shape
+
+
+def model_signature(
+    model: ElaboratedModel,
+    instruments: InstrumentSet,
+    stop_mode: int = STOP_PROCESS,
+    steady: bool = False,
+    horizon: bool = False,
+) -> Tuple:
+    """The code-cache key of one bound model + instrument selection.
+
+    Two runs share compiled code iff their layouts have the same
+    :func:`layout_shape` and they agree on the wrapper flavour, the
+    instrument flags, the stop-condition mode, the horizon specialization
+    and — when the steady-state detector is compiled in — the detector's
+    plan (which processes are sampled, plain or certified).  Relay
+    stations, capacities, initial token values, labels, stop targets,
+    horizon and window values are runtime data.
+    """
+    steady_key = False
+    if steady and not instruments.trace:
+        certification = certify_model(model)
+        if certification is not None:
+            steady_key = (tuple(certification[0]), certification[1])
+    return (
+        layout_shape(model.layout),
+        model.relaxed,
+        instruments.trace,
+        instruments.shell_stats,
+        instruments.occupancy,
+        stop_mode,
+        steady_key,
+        horizon,
+    )
+
+
+# -- source generation --------------------------------------------------------
 
 class _Writer:
     """Tiny indentation-aware line emitter."""
@@ -186,38 +410,12 @@ class _Block:
         self.writer.pop()
 
 
-def model_signature(
-    model: ElaboratedModel,
-    instruments: InstrumentSet,
-    stop_mode: int = STOP_PROCESS,
-    steady: bool = False,
-    horizon: bool = False,
-) -> Tuple:
-    """The compilation cache key of one bound model + instrument selection.
-
-    Two bindings of the same layout share compiled code iff they agree on
-    the relay-chain shape, every element capacity, the wrapper flavour, the
-    instrument flags, the stop-condition mode and the horizon / steady-state
-    specializations (the loop only carries the plumbing actually in use).
-    Everything else (configuration label, the actual initial token values,
-    the concrete stop targets, the horizon cycle count, the detection
-    window) is runtime data.
-    """
-    return (
-        tuple(tuple(chain) for chain in model.chan_chain),
-        tuple(model.queue_caps),
-        model.relaxed,
-        instruments.trace,
-        instruments.shell_stats,
-        instruments.occupancy,
-        stop_mode,
-        steady,
-        horizon,
-    )
-
-
 class _Generator:
-    """Builds the specialized run-loop source for one bound model."""
+    """Builds the shape-specialized run-loop source for one bound model.
+
+    Only the layout's structure and the model's wrapper flavour are read;
+    the relay stations and capacities of *model* never reach the source.
+    """
 
     def __init__(
         self,
@@ -227,9 +425,8 @@ class _Generator:
         steady: bool = False,
         horizon: bool = False,
     ) -> None:
-        self.model = model
-        self.layout = model.layout
-        self.instruments = instruments
+        layout = model.layout
+        self.layout = layout
         self.stop_mode = stop_mode
         self.relaxed = model.relaxed
         self.tracing = instruments.trace
@@ -237,76 +434,18 @@ class _Generator:
         self.occ = instruments.occupancy
         self.horizon = horizon
         self.steady = steady and not instruments.trace
-        layout = self.layout
         self.n_procs = len(layout.processes)
         self.n_chans = len(layout.chan_names)
-        self.n_queues = len(model.queue_caps)
-        self.done_ovr = [_overrides(p, "is_done") for p in layout.processes]
+        self.n_fifos = layout.n_shell_queues
+        self.chan_dest = layout.chan_dest_qid
+        # Every process fact the source depends on is read from the shape,
+        # so layouts sharing a cache entry cannot differ in one.
+        hooks = layout_shape(layout).key[-1]
+        self.done_ovr = [done for done, _, _, _ in hooks]
         # A declared boolean done-attribute lets the guard read an attribute
         # instead of calling is_done() every cycle (see Process.done_attribute).
-        self.done_attr = [p.done_attribute for p in layout.processes]
-        self.req_ovr = [_overrides(p, "required_ports") for p in layout.processes]
-        self.hops = [
-            (chain[i], chain[i + 1])
-            for chain in model.chan_chain
-            for i in range(len(chain) - 1)
-        ]
-        # Elements whose start-of-cycle occupancy is actually read: back-
-        # pressure sources (first elements of output channels) and both
-        # sides of every forwarding hop.
-        self.latched = set()
-        for pairs in model.out_first:
-            self.latched.update(pairs)
-        for src, dst in self.hops:
-            self.latched.add(src)
-            self.latched.add(dst)
-        # Elements carrying an integer occupancy counter.  The guards only
-        # need the latched set; the occupancy instrument samples its maxima
-        # from the counters and the steady-state snapshot reads every
-        # element, so both widen the set to all queues.
-        if self.occ or self.steady:
-            self.counted: Set[int] = set(range(self.n_queues))
-        else:
-            self.counted = set(self.latched)
-        # Owner (consuming process) of every shell input FIFO.
-        self.queue_owner: Dict[int, int] = {}
-        for p, qids in enumerate(layout.in_qids):
-            for qid in qids:
-                self.queue_owner[qid] = p
-        # Back-pressure reads that need a top-of-cycle latched copy: the
-        # element is a shell FIFO whose owner runs at or before the producer,
-        # so the owner's pops (WP1 consumes, WP2 also discards before its own
-        # back-pressure check) precede the read.  A relay station or a
-        # later-running owner cannot be touched before the read, so those
-        # use the counter directly.
-        self.guard_copy: Set[int] = set()
-        for p in range(self.n_procs):
-            for qid in model.out_first[p]:
-                owner = self.queue_owner.get(qid)
-                if owner is None:
-                    continue
-                if owner < p or (owner == p and self.relaxed):
-                    self.guard_copy.add(qid)
-        self.deferred_cids = sorted(
-            {
-                cid
-                for p in range(self.n_procs)
-                for _, cids in layout.out_ports[p]
-                for cid in cids
-                if self._deferred(p, cid)
-            }
-        )
-        # Deferred launches wait in one pending-slot local per channel (no
-        # tuple, no list churn); the occupancy variant samples the counter
-        # right after each commit.
-        self.pending_slots = bool(self.deferred_cids)
-        # Queues needing pre-bound popleft / append methods.
-        self.pops_used: Set[int] = set(self.queue_owner)
-        self.appends_used: Set[int] = set(layout.chan_dest_qid)
-        for src, dst in self.hops:
-            self.pops_used.add(src)
-            self.appends_used.add(dst)
-        self.appends_used.update(model.chan_first)
+        self.done_attr = [attr for _, attr, _, _ in hooks]
+        self.req_ovr = [req for _, _, req, _ in hooks]
         # Steady-state snapshot plan (processes to sample, tag offsets, the
         # per-FIFO pop counters a jump must advance; certified mode also
         # keys queued token values and deep-verifies each candidate period).
@@ -318,11 +457,7 @@ class _Generator:
             # Processes whose internal state stores absolute firing tags
             # must shift it at the analytic jump (Process.schedule_jump);
             # the no-op base hook is folded away.
-            self.ss_jump_procs = [
-                p
-                for p in range(self.n_procs)
-                if _overrides(layout.processes[p], "schedule_jump")
-            ]
+            self.ss_jump_procs = [p for p, hook in enumerate(hooks) if hook[3]]
             self.ss_done_procs = [p for p in dynamic if self.done_ovr[p]]
             self.ss_offsets = channel_offset_pairs(model) if self.relaxed else []
             self.ss_g_queues = [
@@ -338,74 +473,40 @@ class _Generator:
         attr = self.done_attr[p]
         return f"p{p}.{attr}" if attr else f"p{p}_done()"
 
-    def _bp_expr(self, qid: int) -> str:
-        """Start-of-cycle occupancy of *qid* as read by a back-pressure guard."""
-        return f"l{qid}" if qid in self.guard_copy else f"n{qid}"
-
-    def _deferred(self, p: int, cid: int) -> bool:
-        """Whether a token launched by process *p* on channel *cid* must wait.
-
-        An append may commit immediately iff nothing can observe the queue
-        live later this cycle: relay stations are only read through the
-        latched snapshot, and a shell FIFO is only read by its owning shell,
-        which already executed when ``owner <= p``.  Occupancy instrumentation
-        defers everything so maxima are sampled exactly like the fast kernel
-        (after every commit of the cycle, never against a transient value).
-        """
-        if self.occ:
-            return True
-        first = self.model.chan_first[cid]
-        owner = self.queue_owner.get(first)
-        return owner is not None and owner > p
-
-    def _emit_push(self, qid: int, value_expr: str) -> None:
-        """Append *value_expr* to queue *qid*, maintaining its counter."""
-        self.w.emit(f"q{qid}_ap({value_expr})")
-        if qid in self.counted:
-            self.w.emit(f"n{qid} += 1")
-
-    def _emit_pop_count(self, qid: int) -> None:
-        """Counter maintenance for a pop from queue *qid* (pop emitted by caller)."""
-        if qid in self.counted:
-            self.w.emit(f"n{qid} -= 1")
-
-    def _emit_occ_sample(self, qid: int) -> None:
-        """Fold the counter of *qid* into the occupancy maxima."""
-        self.w.emit(f"if n{qid} > mo[{qid}]:")
-        with _Block(self.w):
-            self.w.emit(f"mo[{qid}] = n{qid}")
-
     def generate(self) -> str:
         w = self.w
-        model = self.model
         layout = self.layout
         w.emit(
             f"def {ENTRY_POINT}(procs, fir, label, max_cycles, deadlock_limit, "
-            "extra_cycles, stop_mode, stop_arg, horizon, ss_window):"
+            "extra_cycles, stop_mode, stop_arg, horizon, ss_window, binding):"
         )
         w.push()
 
-        # -- prologue: hoist process methods, build run state ----------------
+        # -- prologue: hoist process methods, bind runtime data ---------------
+        w.emit("_caps, _tabs, _push, _init, _stations, _n_elems, _layout = binding")
         for p in range(self.n_procs):
             w.emit(f"p{p} = procs[{p}]")
             w.emit(f"p{p}_fire = p{p}.fire")
-            w.emit(f"o{p} = OUT{p}")
             if self.done_ovr[p] and not self.done_attr[p]:
                 w.emit(f"p{p}_done = p{p}.is_done")
             if self.relaxed and self.req_ovr[p]:
                 w.emit(f"p{p}_req = p{p}.required_ports")
-                w.emit(f"r{p} = PORTS{p}")
         w.emit("for _proc in procs:")
         with _Block(w):
             w.emit("_proc.reset()")
-        for q in range(self.n_queues):
+        for q in range(self.n_fifos):
             w.emit(f"q{q} = deque()")
-            if q in self.pops_used:
-                w.emit(f"q{q}_pop = q{q}.popleft")
-            if q in self.appends_used:
-                w.emit(f"q{q}_ap = q{q}.append")
-            if q in self.counted:
-                w.emit(f"n{q} = 0")
+            w.emit(f"q{q}_pop = q{q}.popleft")
+            w.emit(f"q{q}_ap = q{q}.append")
+            w.emit(f"n{q} = 0")
+            w.emit(f"c{q} = _caps[{q}]")
+        for c in range(self.n_chans):
+            w.emit(f"R{c} = deque()")
+            w.emit(f"R{c}_ap = R{c}.append")
+            w.emit(f"R{c}_pop = R{c}.popleft")
+            w.emit(f"s{c} = 0")
+            w.emit(f"T{c} = _tabs[{c}]")
+            w.emit(f"P{c} = _push[{c}]")
         for p in range(self.n_procs):
             w.emit(f"f{p} = 0")
         if self.relaxed:
@@ -418,10 +519,11 @@ class _Generator:
                     for q in layout.in_qids[p]:
                         w.emit(f"g{q} = 0")
         if self.occ:
-            w.emit(f"mo = [0] * {self.n_queues}")
-        for cid in range(self.n_chans):
-            qid = layout.chan_dest_qid[cid]
-            self._emit_push(qid, f"CHAN_INIT[{cid}]")
+            w.emit("mo = [0] * _n_elems")
+        for c in range(self.n_chans):
+            qid = self.chan_dest[c]
+            w.emit(f"q{qid}_ap(_init[{c}])")
+            w.emit(f"n{qid} = 1")
             if self.occ:
                 w.emit(f"mo[{qid}] = 1")
         if self.stats:
@@ -433,9 +535,6 @@ class _Generator:
             w.emit(f"st_mp = [_dd(int) for _ in range({self.n_procs})]")
         if self.tracing:
             w.emit(f"chan_items = [[] for _ in range({self.n_chans})]")
-        if self.pending_slots:
-            for cid in self.deferred_cids:
-                w.emit(f"d{cid} = _NP")
         w.emit("cycles = 0")
         w.emit("idle = 0")
         w.emit("halted = False")
@@ -468,12 +567,11 @@ class _Generator:
         w.push()
         if self.steady:
             self._steady_block()
-        # Phase 1: forwarding decisions against start-of-cycle counters,
-        # plus latched copies for the back-pressure reads that need them.
-        for i, (src, dst) in enumerate(self.hops):
-            w.emit(f"h{i} = n{src} and n{dst} < {model.queue_caps[dst]}")
-        for q in sorted(self.guard_copy):
-            w.emit(f"l{q} = n{q}")
+        # Phase 1: every channel's forwarding moves and entry room, decided
+        # against start-of-cycle state (chain state, destination counter).
+        for c in range(self.n_chans):
+            d = self.chan_dest[c]
+            w.emit(f"x{c} = T{c}[s{c} + (n{d} < c{d})]")
         w.emit("fired_any = False")
         if self.tracing:
             w.emit(f"_e = [VOID] * {self.n_chans}")
@@ -482,31 +580,25 @@ class _Generator:
         for p in range(self.n_procs):
             self._shell(p)
 
-        # Phase 3: commit relay-station moves, then deferred launches.  The
-        # occupancy maxima are sampled from the counters once every commit
-        # that can touch the element has been applied, so each sample equals
-        # the end-of-commit-phase occupancy — exactly the value the fast
-        # kernel's deferred sampling records.
-        for i, (src, dst) in enumerate(self.hops):
-            w.emit(f"if h{i}:")
+        # Phase 3: commit each channel's moves (at most one token enters a
+        # destination FIFO per cycle), then sample the occupancy maxima from
+        # the end-of-cycle counters.
+        for c in range(self.n_chans):
+            d = self.chan_dest[c]
+            w.emit(f"if x{c} & 2:")
             with _Block(w):
-                w.emit(f"q{dst}_ap(q{src}_pop())")
-                w.emit(f"n{src} -= 1")
-                w.emit(f"n{dst} += 1")
+                w.emit(f"q{d}_ap(R{c}_pop())")
+                w.emit(f"n{d} += 1")
+            w.emit(f"s{c} += x{c} >> 2")
         if self.occ:
-            for i, (src, dst) in enumerate(self.hops):
-                w.emit(f"if h{i}:")
+            for q in range(self.n_fifos):
+                w.emit(f"if n{q} > mo[{q}]:")
                 with _Block(w):
-                    self._emit_occ_sample(dst)
-        if self.pending_slots:
-            for cid in self.deferred_cids:
-                qid = model.chan_first[cid]
-                w.emit(f"if d{cid} is not _NP:")
+                    w.emit(f"mo[{q}] = n{q}")
+            for c in range(self.n_chans):
+                w.emit(f"if s{c}:")
                 with _Block(w):
-                    self._emit_push(qid, f"d{cid}")
-                    if self.occ:
-                        self._emit_occ_sample(qid)
-                    w.emit(f"d{cid} = _NP")
+                    w.emit(f"_sample_chain(mo, _stations[{c}], s{c})")
 
         if self.tracing:
             w.emit("for _cl, _cv in zip(chan_items, _e):")
@@ -521,16 +613,7 @@ class _Generator:
             w.emit("idle += 1")
             w.emit("if idle >= deadlock_limit:")
             with _Block(w):
-                # The loop-closing channel hint is layout-static, so it is
-                # baked into the generated source as a literal suffix.
-                hint = self.model.layout.topology().deadlock_hint(
-                    self.model.layout.chan_names
-                ).replace("%", "%%").replace("'", "\\'")
-                w.emit(
-                    "raise DeadlockError('no process fired for %d consecutive "
-                    f"cycles (cycle %d, configuration %r){hint}' "
-                    "% (idle, cycles, label))"
-                )
+                w.emit("_deadlock(idle, cycles, label, _layout)")
         # Process state is only mutated by firings, so the stop condition can
         # only change after a firing (or on the very first evaluation).
         w.emit("if drain is None and (fired_any or cycles == 1):")
@@ -607,17 +690,21 @@ class _Generator:
     def _key_expr(self) -> str:
         """The canonical snapshot key as one tuple expression.
 
-        Plain mode: integers the loop already maintains plus the dynamic
+        Plain mode: integers the loop already maintains (FIFO counters and
+        chain states — for one binding, a chain state is in one-to-one
+        correspondence with its per-station occupancies) plus the dynamic
         ``schedule_state()`` samples.  Certified mode additionally keys the
-        queued token values of every storage element (the generated queues
-        hold raw values, so each is one ``tuple(q)`` call).
+        queued token values of every FIFO and every chain (the generated
+        queues hold raw values, so each is one ``tuple()`` call).
         """
-        parts = [f"n{q}" for q in range(self.n_queues)]
+        parts = [f"n{q}" for q in range(self.n_fifos)]
+        parts += [f"s{c}" for c in range(self.n_chans)]
         parts += [f"f{s} - f{d}" for s, d in self.ss_offsets]
         parts += [f"p{p}_ss()" for p in self.ss_sig_procs]
         parts += [self._done_expr(p) for p in self.ss_done_procs]
         if self.ss_certified:
-            parts += [f"tuple(q{q})" for q in range(self.n_queues)]
+            parts += [f"tuple(q{q})" for q in range(self.n_fifos)]
+            parts += [f"tuple(R{c})" for c in range(self.n_chans)]
         return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
 
     def _verify_expr(self) -> str:
@@ -628,14 +715,13 @@ class _Generator:
     def _steady_block(self) -> None:
         """Snapshot / measure / jump logic at the top of every cycle.
 
-        Mirrors the fast kernel's interpreted detector: the snapshot is one
-        tuple of integers already held in locals (plus the handful of
-        dynamic ``schedule_state()`` samples and, under a certified plan,
-        the queue-value tuples), so the searching phase costs one tuple
-        build and one dict probe per cycle and allocates nothing else.
-        Certified plans store key *hashes* in the dictionary (one int per
-        searched cycle) and deep-verify each candidate period before the
-        jump; a failed verification resumes the search.
+        The snapshot is one tuple of integers already held in locals (plus
+        the handful of dynamic ``schedule_state()`` samples and, under a
+        certified plan, the queue-value tuples), so the searching phase
+        costs one tuple build and one dict probe per cycle and allocates
+        nothing else.  Certified plans store key *hashes* in the dictionary
+        (one int per searched cycle) and deep-verify each candidate period
+        before the jump; a failed verification resumes the search.
         """
         w = self.w
         certified = self.ss_certified
@@ -737,13 +823,13 @@ class _Generator:
 
     # -- shells ----------------------------------------------------------------
     def _shell(self, p: int) -> None:
-        """Unrolled firing logic of one shell (mirrors FastKernel phase 2)."""
+        """Unrolled firing logic of one shell, in process order."""
         w = self.w
         layout = self.layout
         ports = layout.in_ports[p]
         qids = layout.in_qids[p]
 
-        w.emit(f"# shell {p}: {layout.proc_names[p]}")
+        w.emit(f"# shell {p}")
         if not self.done_ovr[p]:
             # is_done is the base-class constant False: no done guard at all.
             self._shell_body(p)
@@ -763,7 +849,7 @@ class _Generator:
                         with _Block(w):
                             w.emit(f"q{qid}_pop()")
                             w.emit(f"g{qid} += 1")
-                            self._emit_pop_count(qid)
+                            w.emit(f"n{qid} -= 1")
                             if self.stats:
                                 w.emit(f"st_disc[{p}] += 1")
                                 w.emit(f"st_dp[{p}][{port!r}] += 1")
@@ -796,6 +882,10 @@ class _Generator:
         else:
             self._body_wp1(p)
 
+    def _free_expr(self, p: int) -> str:
+        """Whether every output channel of *p* can take a launch."""
+        return " and ".join(f"x{c} & 1" for c in self.layout.out_chans[p])
+
     def _body_wp1(self, p: int) -> None:
         """WP1 uninstrumented: the whole guard is one ``and`` chain.
 
@@ -803,12 +893,8 @@ class _Generator:
         head always carries the current tag — availability is truthiness.
         """
         w = self.w
-        caps = self.model.queue_caps
         conds = [f"q{qid}" for qid in self.layout.in_qids[p]]
-        conds += [
-            f"{self._bp_expr(qid)} < {caps[qid]}"
-            for qid in sorted(set(self.model.out_first[p]))
-        ]
+        conds += [f"x{c} & 1" for c in self.layout.out_chans[p]]
         if conds:
             w.emit(f"if {' and '.join(conds)}:")
             with _Block(w):
@@ -820,13 +906,9 @@ class _Generator:
         """WP1 instrumented: per-port missing counters, then blocked, then fire."""
         w = self.w
         layout = self.layout
-        caps = self.model.queue_caps
         ports = layout.in_ports[p]
         qids = layout.in_qids[p]
-        pairs = sorted(set(self.model.out_first[p]))
-        blocked = " or ".join(
-            f"{self._bp_expr(qid)} >= {caps[qid]}" for qid in pairs
-        )
+        outs = self.layout.out_chans[p]
 
         if ports:
             w.emit("_m = False")
@@ -838,15 +920,15 @@ class _Generator:
             w.emit("if _m:")
             with _Block(w):
                 w.emit(f"st_missing[{p}] += 1")
-            if pairs:
-                w.emit(f"elif {blocked}:")
+            if outs:
+                w.emit(f"elif not ({self._free_expr(p)}):")
                 with _Block(w):
                     w.emit(f"st_blocked[{p}] += 1")
             w.emit("else:")
             with _Block(w):
                 self._fire(p)
-        elif pairs:
-            w.emit(f"if {blocked}:")
+        elif outs:
+            w.emit(f"if not ({self._free_expr(p)}):")
             with _Block(w):
                 w.emit(f"st_blocked[{p}] += 1")
             w.emit("else:")
@@ -859,23 +941,19 @@ class _Generator:
         """WP2: oracle consultation, stale discard on every FIFO, then fire."""
         w = self.w
         layout = self.layout
-        name = layout.proc_names[p]
         ports = layout.in_ports[p]
         qids = layout.in_qids[p]
         stats = self.stats
-        has_oracle = self.req_ovr[p]
 
         w.emit(f"_t = f{p}")
-        if has_oracle:
-            w.emit(f"_req = p{p}_req()")
+        w.emit(f"_req = p{p}_req()")
         if ports:
-            if has_oracle:
-                w.emit("if _req is None:")
-                with _Block(w):
-                    w.emit(f"_req = r{p}")
-                w.emit(f"elif not (_req <= r{p}):")
-                with _Block(w):
-                    w.emit(f"_unknown({name!r}, _req, r{p})")
+            w.emit("if _req is None:")
+            with _Block(w):
+                w.emit(f"_req = PORTS{p}")
+            w.emit(f"elif not (_req <= PORTS{p}):")
+            with _Block(w):
+                w.emit(f"_unknown(p{p}.name, _req, PORTS{p})")
             w.emit("_m = False")
             for port, qid in zip(ports, qids):
                 # The scan runs on every FIFO (never stops early) so the
@@ -884,19 +962,14 @@ class _Generator:
                 with _Block(w):
                     w.emit(f"q{qid}_pop()")
                     w.emit(f"g{qid} += 1")
-                    self._emit_pop_count(qid)
+                    w.emit(f"n{qid} -= 1")
                     if stats:
                         w.emit(f"st_disc[{p}] += 1")
                         w.emit(f"st_dp[{p}][{port!r}] += 1")
                 w.emit(f"if not q{qid}:")
                 with _Block(w):
-                    if has_oracle:
-                        w.emit(f"if {port!r} in _req:")
-                        with _Block(w):
-                            w.emit("_m = True")
-                            if stats:
-                                w.emit(f"st_mp[{p}][{port!r}] += 1")
-                    else:
+                    w.emit(f"if {port!r} in _req:")
+                    with _Block(w):
                         w.emit("_m = True")
                         if stats:
                             w.emit(f"st_mp[{p}][{port!r}] += 1")
@@ -907,41 +980,29 @@ class _Generator:
             with _Block(w):
                 self._blocked_and_fire(p)
         else:
-            if has_oracle:
-                w.emit(f"if _req is not None and not (_req <= r{p}):")
-                with _Block(w):
-                    w.emit(f"_unknown({name!r}, _req, r{p})")
+            w.emit(f"if _req is not None and not (_req <= PORTS{p}):")
+            with _Block(w):
+                w.emit(f"_unknown(p{p}.name, _req, PORTS{p})")
             self._blocked_and_fire(p)
 
     def _blocked_and_fire(self, p: int) -> None:
         w = self.w
-        caps = self.model.queue_caps
-        pairs = sorted(set(self.model.out_first[p]))
-        if pairs:
-            if self.stats:
-                blocked = " or ".join(
-                    f"{self._bp_expr(qid)} >= {caps[qid]}" for qid in pairs
-                )
-                w.emit(f"if {blocked}:")
-                with _Block(w):
-                    w.emit(f"st_blocked[{p}] += 1")
-                w.emit("else:")
-                with _Block(w):
-                    self._fire(p)
-            else:
-                free = " and ".join(
-                    f"{self._bp_expr(qid)} < {caps[qid]}" for qid in pairs
-                )
-                w.emit(f"if {free}:")
-                with _Block(w):
-                    self._fire(p)
+        if not self.layout.out_chans[p]:
+            self._fire(p)
+            return
+        if self.stats:
+            w.emit(f"if not ({self._free_expr(p)}):")
+            with _Block(w):
+                w.emit(f"st_blocked[{p}] += 1")
+            w.emit("else:")
         else:
+            w.emit(f"if {self._free_expr(p)}:")
+        with _Block(w):
             self._fire(p)
 
     def _fire(self, p: int) -> None:
         w = self.w
         layout = self.layout
-        model = self.model
         ports = layout.in_ports[p]
         qids = layout.in_qids[p]
 
@@ -956,7 +1017,7 @@ class _Generator:
                 with _Block(w):
                     w.emit(f"_in[{port!r}] = q{qid}_pop()")
                     w.emit(f"g{qid} += 1")
-                    self._emit_pop_count(qid)
+                    w.emit(f"n{qid} -= 1")
             w.emit(f"_out = p{p}_fire(_in)")
         else:
             # WP1 consumes every port (all verified ready by the guards above).
@@ -965,8 +1026,8 @@ class _Generator:
             )
             w.emit(f"_out = p{p}_fire({{{items}}})")
             for qid in qids:
-                self._emit_pop_count(qid)
-        w.emit(f"if _out.keys() != o{p}:")
+                w.emit(f"n{qid} -= 1")
+        w.emit(f"if _out.keys() != OUT{p}:")
         with _Block(w):
             w.emit(f"_mismatch(p{p}, _out)")
         w.emit(f"f{p} = _nt = f{p} + 1")
@@ -977,14 +1038,11 @@ class _Generator:
             w.emit(f"_v = _out[{port!r}]")
             if self.tracing:
                 w.emit("_tok = Token(value=_v, tag=_nt)")
-            for cid in cids:
-                qid = model.chan_first[cid]
+            for c in cids:
                 if self.tracing:
-                    w.emit(f"_e[{cid}] = _tok")
-                if self._deferred(p, cid):
-                    w.emit(f"d{cid} = _v")
-                else:
-                    self._emit_push(qid, "_v")
+                    w.emit(f"_e[{c}] = _tok")
+                w.emit(f"R{c}_ap(_v)")
+                w.emit(f"x{c} += P{c}")
         w.emit("fired_any = True")
 
 
@@ -995,32 +1053,58 @@ def generate_run_source(
     steady: bool = False,
     horizon: bool = False,
 ) -> str:
-    """Emit the source of the specialized run function for *model*."""
+    """Emit the source of the shape-specialized run function for *model*."""
     return _Generator(model, instruments, stop_mode, steady, horizon).generate()
 
 
-def _base_namespace(model: ElaboratedModel) -> dict:
-    """Layout-level constants the generated code closes over."""
-    layout = model.layout
+def _base_namespace(shape: _Shape) -> dict:
+    """Structural constants and helpers the generated code closes over."""
     namespace = {
         "__builtins__": __builtins__,
         "deque": deque,
         "_dd": defaultdict,
         "Token": Token,
         "VOID": VOID,
-        "DeadlockError": DeadlockError,
         "SimulationError": SimulationError,
-        "_mismatch": _raise_output_mismatch,
+        "_mismatch": raise_output_mismatch,
         "_unknown": _raise_unknown_ports,
+        "_deadlock": _raise_deadlock,
+        "_sample_chain": _sample_chain,
         "_ss_skip": periods_to_skip,
         "_ss_sj": stats_jump,
-        "CHAN_INIT": list(layout.chan_initial),
-        "_NP": object(),  # unique "no pending token" sentinel
     }
-    for p, process in enumerate(layout.processes):
-        namespace[f"OUT{p}"] = frozenset(process.output_ports)
-        namespace[f"PORTS{p}"] = frozenset(layout.in_ports[p])
+    in_ports, out_ports = shape.key[:2]
+    for p, (ports, outputs) in enumerate(zip(in_ports, out_ports)):
+        namespace[f"OUT{p}"] = frozenset(outputs)
+        namespace[f"PORTS{p}"] = frozenset(ports)
     return namespace
+
+
+_code_cache: "OrderedDict[Tuple, Callable]" = OrderedDict()
+_code_lock = threading.Lock()
+
+
+def _reset_lock_after_fork() -> None:
+    # A fork taken while another thread held the lock must not leave the
+    # child's cache locked forever.
+    global _code_lock
+    _code_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+
+def code_cache_size() -> int:
+    """Number of compiled run functions currently cached."""
+    with _code_lock:
+        return len(_code_cache)
+
+
+def clear_code_cache() -> None:
+    """Drop every cached run function (the next runs compile again)."""
+    with _code_lock:
+        _code_cache.clear()
 
 
 def compiled_run_fn(
@@ -1032,23 +1116,26 @@ def compiled_run_fn(
 ) -> Callable:
     """The compiled run function for *model*, generated and cached on demand.
 
-    The cache lives on the layout (one per :class:`Elaborator`, shared by
-    every binding), keyed by :func:`model_signature`; a worker process that
-    evaluates a whole shard of same-shaped configurations compiles once.
+    The cache is process-wide and keyed by :func:`model_signature`, so every
+    RS vector, capacity and fresh layout of one netlist shape shares one
+    function; call it with :func:`run_binding` of the model.  Two threads
+    missing on the same key may both compile; the first insert wins.
     """
-    layout = model.layout
-    cache = getattr(layout, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(layout, _CACHE_ATTR, cache)
     key = model_signature(model, instruments, stop_mode, steady, horizon)
-    fn = cache.get(key)
-    if fn is None:
-        source = generate_run_source(model, instruments, stop_mode, steady, horizon)
-        code = compile(source, f"<lid-codegen:{model.netlist.name}>", "exec")
-        namespace = _base_namespace(model)
-        exec(code, namespace)
-        fn = namespace[ENTRY_POINT]
-        fn.__lid_source__ = source  # kept for tests and debugging
-        cache[key] = fn
+    with _code_lock:
+        fn = _code_cache.get(key)
+        if fn is not None:
+            _code_cache.move_to_end(key)
+            return fn
+    source = generate_run_source(model, instruments, stop_mode, steady, horizon)
+    code = compile(source, "<lid-codegen>", "exec")
+    namespace = _base_namespace(layout_shape(model.layout))
+    exec(code, namespace)
+    fn = namespace[ENTRY_POINT]
+    fn.__lid_source__ = source  # kept for tests and debugging
+    with _code_lock:
+        fn = _code_cache.setdefault(key, fn)
+        _code_cache.move_to_end(key)
+        while len(_code_cache) > CODE_CACHE_SIZE:
+            _code_cache.popitem(last=False)
     return fn

@@ -1,11 +1,13 @@
-"""The compiled kernel: executes codegen-specialized run functions.
+"""The compiled kernel, the default: executes codegen-specialized run functions.
 
-Where :class:`~repro.engine.fast.FastKernel` interprets the elaborated model
-each cycle, this kernel compiles the model **once** into a specialized run
-function (see :mod:`repro.engine.codegen`) and executes that.  The generated
-code is cached on the netlist layout keyed by the configuration signature,
-so repeated runs — and batch evaluations of same-shaped configurations —
-pay the generation cost a single time.
+Instead of interpreting the elaborated model each cycle, this kernel runs a
+generated Python function (see :mod:`repro.engine.codegen`).  The function
+is specialized on the netlist's *shape* — graph, ports, hook flags, wrapper,
+instruments, stop mode, steady-state and horizon plumbing — and receives the
+relay-station vector, the element capacities and the initial channel values
+as runtime data (:func:`~repro.engine.codegen.run_binding`).  Generated code
+lives in one process-wide cache, so every configuration of a layout, and
+every fresh layout of an already-seen shape, pays the generation cost once.
 
 Steady-state period detection (see :mod:`repro.engine.steady_state`) is
 compiled straight into the generated loop whenever the run is eligible: the
@@ -13,24 +15,23 @@ per-cycle snapshot is one tuple of integers the loop already maintains, and
 the analytic jump over the detected period's repetitions happens inside the
 generated frame.
 
-Semantics are pinned to the reference/fast kernels by the property suite in
-``tests/test_engine.py``: cycles, firings, traces, stall statistics and
-occupancies are cycle-for-cycle identical (extrapolated runs included — the
-hypothesis suite in ``tests/test_steady_state.py`` pins extrapolated counts
-to full simulation).
+Semantics are pinned to the reference kernel by the property suites in
+``tests/test_engine.py`` and ``tests/test_steady_state.py``: cycles,
+firings, traces, stall statistics, occupancies and extrapolated counts are
+cycle-for-cycle identical.
 
 One deliberate exception: the generic ``on_cycle`` observer (a per-cycle
-Python callback) is served by delegating the run to the fast kernel — a
-callback per cycle costs more than interpretation saves, and keeping the
-compiled hot loop free of observer plumbing is the point of this kernel.
-The two kernels are equivalence-pinned, so the delegation is unobservable.
+Python callback, a debugging aid) is served by delegating the run to the
+reference kernel — keeping the compiled hot loop free of observer plumbing
+is the point of this kernel.  The two kernels are equivalence-pinned, so
+the delegation is unobservable.
 """
 
 from __future__ import annotations
 
 from ..core.shell import ShellStats
 from ..core.traces import SystemTrace
-from .codegen import compiled_run_fn, resolve_stop
+from .codegen import compiled_run_fn, resolve_stop, run_binding
 from .instrumentation import InstrumentSet, trace_from_lists
 from .kernel import RunControls, SimKernel
 from .result import LidResult
@@ -46,9 +47,9 @@ class CompiledKernel(SimKernel):
         model = self.model
         controls.validate(model)
         if controls.on_cycle is not None:
-            from .fast import FastKernel
+            from .reference import ReferenceKernel
 
-            return FastKernel(model).run(controls, instruments)
+            return ReferenceKernel(model).run(controls, instruments)
 
         layout = model.layout
         proc_names = layout.proc_names
@@ -79,6 +80,7 @@ class CompiledKernel(SimKernel):
                 stop_arg,
                 controls.horizon if controls.horizon is not None else 0,
                 plan.window if plan is not None else 0,
+                run_binding(model),
             )
         )
 

@@ -43,7 +43,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.exceptions import (
     DeadlockError,
-    NetlistError,
     ProtocolError,
     SimulationError,
 )
@@ -51,7 +50,7 @@ from ..core.shell import ShellStats
 from ..core.tokens import Token, VOID
 from ..core.traces import SystemTrace
 from .instrumentation import InstrumentSet, trace_from_lists
-from .kernel import RunControls, SimKernel
+from .kernel import RunControls, SimKernel, raise_output_mismatch
 from .result import LidResult
 from .steady_state import detection_plan, periods_to_skip, stats_jump
 
@@ -455,7 +454,7 @@ class FastKernel(SimKernel):
                             # NetlistError on mismatch.
                             outputs = process.fire(inputs)
                             if outputs.keys() != out_portset:
-                                _raise_output_mismatch(process, outputs)
+                                raise_output_mismatch(process, outputs)
                             process.firings = fir[p] = out_tag = tag + 1
                             for port, targets in out_entries:
                                 value = outputs[port]
@@ -588,15 +587,3 @@ class FastKernel(SimKernel):
             extrapolated=extrapolated,
         )
 
-
-def _raise_output_mismatch(process, outputs) -> None:
-    """Raise the same NetlistError Process.step() would have raised."""
-    missing = [port for port in process.output_ports if port not in outputs]
-    if missing:
-        raise NetlistError(
-            f"process {process.name!r} did not drive output ports {missing}"
-        )
-    unexpected = [port for port in outputs if port not in process.output_ports]
-    raise NetlistError(
-        f"process {process.name!r} drove undeclared output ports {unexpected}"
-    )

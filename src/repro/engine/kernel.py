@@ -1,17 +1,23 @@
 """The kernel layer: execution engines over an elaborated model.
 
 A :class:`SimKernel` runs one latency-insensitive system to completion.
-Three implementations exist:
+Four implementations exist:
 
 * :class:`repro.engine.reference.ReferenceKernel` — the original object-based
   machinery (Shell / RelayStation / Token objects), kept as the executable
   specification;
-* :class:`repro.engine.fast.FastKernel` — a flat array kernel over the
-  integer-indexed elaborated model, cycle-for-cycle equivalent (enforced by
-  the property suite in ``tests/test_engine.py``) and several times faster;
-* :class:`repro.engine.compiled.CompiledKernel` — generates and ``compile()``s
-  a per-netlist specialized run function (see :mod:`repro.engine.codegen`),
-  several times faster again on the hot path.
+* :class:`repro.engine.compiled.CompiledKernel` — the default: generates and
+  ``compile()``s one run function per netlist shape (see
+  :mod:`repro.engine.codegen`) and feeds it each relay-station vector as
+  runtime data, cycle-for-cycle equivalent to the reference (enforced by
+  the property suites in ``tests/test_engine.py`` and
+  ``tests/test_steady_state.py``);
+* :class:`repro.engine.fast.FastKernel` — a flat array kernel interpreting
+  the integer-indexed elaborated model each cycle, kept selectable until its
+  removal;
+* :class:`repro.engine.lockstep.LockstepKernel` — vectorises same-layout
+  configuration batches with NumPy and hands ineligible runs to the
+  compiled kernel.
 
 All consume the same :class:`~repro.engine.elaboration.ElaboratedModel`, the
 same :class:`RunControls` and the same
@@ -30,16 +36,16 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Type
 
-from ..core.exceptions import SimulationError
+from ..core.exceptions import NetlistError, SimulationError
 from .elaboration import ElaboratedModel
 from .instrumentation import InstrumentSet
 from .result import LidResult
 
 
 #: Kernel used when none is requested explicitly (and ``REPRO_KERNEL`` is
-#: unset).  The fast kernel is the default: the equivalence property suite
-#: pins it to the reference kernel.
-DEFAULT_KERNEL = "fast"
+#: unset).  The compiled kernel is the default: the equivalence property
+#: suites pin it to the reference kernel.
+DEFAULT_KERNEL = "compiled"
 
 #: Environment variable consulted by :func:`resolve_kernel_name` when no
 #: kernel is requested explicitly (CI and benchmarks switch kernels with it).
@@ -130,6 +136,24 @@ class RunControls:
         conditions can never be preceded by a complete-state recurrence.
         """
         return self.horizon is not None or self.target_firings is not None
+
+
+def raise_output_mismatch(process, outputs) -> None:
+    """Raise the NetlistError ``Process.step()`` raises for bad output ports.
+
+    Kernels call ``fire()`` directly and compare the output key set to the
+    declared ports in one C-level test; this reports a mismatch the same
+    way the reference kernel's ``step()`` would.
+    """
+    missing = [port for port in process.output_ports if port not in outputs]
+    if missing:
+        raise NetlistError(
+            f"process {process.name!r} did not drive output ports {missing}"
+        )
+    unexpected = [port for port in outputs if port not in process.output_ports]
+    raise NetlistError(
+        f"process {process.name!r} drove undeclared output ports {unexpected}"
+    )
 
 
 class SimKernel(ABC):

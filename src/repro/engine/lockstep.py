@@ -26,7 +26,7 @@ simulation state therefore fits in one ``(N, Q)`` occupancy matrix plus one
 Consequences, pinned by the equivalence suite in ``tests/test_lockstep.py``:
 
 * per-lane results (cycles, firings, halted, stall statistics, occupancy
-  maxima) are bit-identical to :class:`~repro.engine.fast.FastKernel`;
+  maxima) are bit-identical to the scalar kernels';
 * token values are never computed, so side effects inside process objects
   (e.g. values a sink records) do not occur — the same value/side-effect
   boundary an ``extrapolated`` result already has (see
@@ -42,8 +42,7 @@ set may differ from "all ports", or processes whose done condition is not a
 pure function of their firing count (see
 :meth:`~repro.core.process.Process.done_threshold`) — and runs that need
 per-cycle callbacks or traces fall back to the scalar
-:class:`~repro.engine.fast.FastKernel` automatically, mirroring the
-compiled kernel's ``on_cycle`` delegation.
+:class:`~repro.engine.compiled.CompiledKernel` automatically.
 
 NumPy is an optional dependency (the ``repro[fast]`` extra): this module
 imports with NumPy absent, :func:`lockstep_reason` then reports every run
@@ -605,8 +604,7 @@ class LockstepKernel(SimKernel):
     :meth:`repro.engine.batch.BatchRunner.run_many`, which groups same-layout
     work items into one :func:`run_lockstep_batch` call when the runner's
     kernel is ``"lockstep"``.  Ineligible runs (see :func:`lockstep_reason`)
-    delegate to the scalar :class:`~repro.engine.fast.FastKernel`, the same
-    pattern the compiled kernel uses for ``on_cycle`` observers.
+    delegate to the scalar :class:`~repro.engine.compiled.CompiledKernel`.
     """
 
     name = "lockstep"
@@ -618,9 +616,9 @@ class LockstepKernel(SimKernel):
     def run(self, controls: RunControls, instruments: InstrumentSet) -> LidResult:
         reason = lockstep_reason(self.model, controls, instruments)
         if reason is not None:
-            from .fast import FastKernel
+            from .compiled import CompiledKernel
 
-            return FastKernel(self.model).run(controls, instruments)
+            return CompiledKernel(self.model).run(controls, instruments)
         result = run_lockstep_batch([self.model], controls, instruments)[0]
         if isinstance(result, Exception):
             raise result

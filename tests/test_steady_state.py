@@ -37,6 +37,7 @@ from repro.cpu import build_pipelined_cpu
 from repro.cpu.workloads import make_extraction_sort
 from repro.engine import (
     BatchRunner,
+    Elaborator,
     InstrumentSet,
     MultiNetlistRunner,
     PeriodMemory,
@@ -46,7 +47,12 @@ from repro.engine import (
     make_kernel,
     resolve_steady_state,
 )
-from repro.engine.codegen import compiled_run_fn, generate_run_source
+from repro.engine.codegen import (
+    STOP_ANY_DONE,
+    STOP_TARGET,
+    compiled_run_fn,
+    generate_run_source,
+)
 from repro.engine.kernel import RunControls
 from repro.engine.steady_state import periods_to_skip
 
@@ -815,6 +821,314 @@ class TestSteadyCodegen:
             model, InstrumentSet.all(), steady=True
         )
         assert "_ss_seen" not in source
+
+
+# ---------------------------------------------------------------------------
+# Shape-generic code behind the process-wide code cache
+# ---------------------------------------------------------------------------
+
+def _count_generations(monkeypatch):
+    """Record every code generation from here on (starting from a cold cache)."""
+    from repro.engine import codegen
+
+    calls = []
+    original = codegen.generate_run_source
+
+    def counting(model, instruments, stop_mode=codegen.STOP_PROCESS,
+                 steady=False, horizon=False):
+        flags = (instruments.trace, instruments.shell_stats, instruments.occupancy)
+        calls.append((model.relaxed, flags, stop_mode, steady, horizon))
+        return original(model, instruments, stop_mode, steady, horizon)
+
+    monkeypatch.setattr(codegen, "generate_run_source", counting)
+    codegen.clear_code_cache()
+    return calls
+
+
+def _rs_vectors(netlist):
+    """All-zero and mixed 0/1/3 relay-station vectors over every channel."""
+    names = list(netlist.channels)
+    return [
+        {name: 0 for name in names},
+        {name: (0, 1, 3)[index % 3] for index, name in enumerate(names)},
+    ]
+
+
+class _StopsAfter(PassthroughProcess):
+    """Overrides ``is_done``: done after ten firings."""
+
+    def is_done(self):
+        return self.firings >= 10
+
+
+class _FlagsDone(_StopsAfter):
+    """Also declares ``done_attribute`` (kept equal to ``is_done()``)."""
+
+    done_attribute = "finished"
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.finished = False
+
+    def reset(self):
+        super().reset()
+        self.finished = False
+
+    def fire(self, inputs):
+        self.finished = self.firings + 1 >= 10
+        return super().fire(inputs)
+
+
+def _pair(first):
+    return Netlist(
+        [first, PassthroughProcess("b")],
+        [
+            Channel("ab", first.name, "out", "b", "in", initial=0),
+            Channel("ba", "b", "out", first.name, "in", initial=1),
+        ],
+        name="pair",
+    )
+
+
+@st.composite
+def zoo_shapes(draw):
+    """A generator-zoo netlist (steady-state-eligible shapes) and a wrapper."""
+    kind = draw(st.sampled_from(("ring", "dag", "mesh", "torus", "marked", "random")))
+    if kind == "ring":
+        params = {"stages": draw(st.integers(min_value=2, max_value=5))}
+    elif kind == "dag":
+        params = {
+            "width": draw(st.integers(min_value=1, max_value=3)),
+            "depth": draw(st.integers(min_value=1, max_value=2)),
+        }
+    elif kind in ("mesh", "torus"):
+        params = {
+            "rows": draw(st.integers(min_value=2, max_value=3)),
+            "cols": draw(st.integers(min_value=2, max_value=3)),
+        }
+    elif kind == "marked":
+        params = {
+            "loop_lengths": tuple(
+                draw(st.lists(st.integers(min_value=1, max_value=4),
+                              min_size=1, max_size=3))
+            ),
+        }
+    else:
+        params = {
+            "seed": draw(st.integers(min_value=0, max_value=2**16)),
+            "n_processes": draw(st.integers(min_value=2, max_value=6)),
+            "extra_channels": draw(st.integers(min_value=0, max_value=3)),
+            "allow_cycles": draw(st.booleans()),
+            "with_oracles": draw(st.booleans()),
+        }
+    return kind, params, draw(st.booleans())
+
+
+def _horizon_outcome(model, kernel, controls, instruments):
+    try:
+        return "ok", make_kernel(model, kernel).run(controls, instruments)
+    except DeadlockError:
+        return "deadlock", None
+    except SimulationError:
+        return "timeout", None
+
+
+class TestSharedCodeCache:
+    @pytest.mark.parametrize("case", ["ring", "cpu"])
+    def test_one_generation_per_variant_across_layouts(self, case, monkeypatch):
+        """Fresh layouts, RS vectors and capacities never compile again."""
+        calls = _count_generations(monkeypatch)
+        stats_occ = InstrumentSet(trace=False, shell_stats=True, occupancy=True)
+        if case == "ring":
+            netlist, _ = ring_netlist(4, rs_total=0)
+            controls_list = [
+                RunControls(horizon=400),
+                RunControls(target_firings={"stage0": 60}, max_cycles=5_000),
+            ]
+            instrument_sets = [InstrumentSet.none(), stats_occ]
+        else:
+            netlist = _sort_cpu().netlist
+            controls_list = [RunControls(stop_process="CU")]
+            instrument_sets = [stats_occ]
+        runs = 0
+        for relaxed in (False, True):
+            for rs_counts in _rs_vectors(netlist):
+                for capacity in (2, 4):
+                    model = Elaborator(netlist).bind(
+                        rs_counts=rs_counts, relaxed=relaxed,
+                        queue_capacity=capacity,
+                    )
+                    for controls in controls_list:
+                        for instruments in instrument_sets:
+                            got = make_kernel(model, "compiled").run(
+                                controls, instruments
+                            )
+                            full = make_kernel(model, "reference").run(
+                                controls, instruments
+                            )
+                            _assert_matches_full(full, got)
+                            runs += 1
+        assert runs == 4 * len(calls)
+        assert len(calls) == len(set(calls)) == (
+            2 * len(controls_list) * len(instrument_sets)
+        )
+
+    def test_hook_flags_never_share_a_function(self):
+        """is_done overrides and done_attribute declarations split the cache."""
+        controls = RunControls(max_cycles=2_000)
+        fns = []
+        for first in (
+            PassthroughProcess("a"), _StopsAfter("a"), _FlagsDone("a"),
+        ):
+            model = elaborate(_pair(first), rs_counts={"ab": 1})
+            fns.append(compiled_run_fn(model, InstrumentSet.none(), STOP_ANY_DONE))
+            if first.__class__ is not PassthroughProcess:
+                full = make_kernel(model, "reference").run(controls, InstrumentSet.all())
+                got = make_kernel(model, "compiled").run(controls, InstrumentSet.all())
+                _assert_matches_full(full, got)
+                assert got.firings["a"] == 10
+        assert len({id(fn) for fn in fns}) == 3
+        assert "p0.finished" in fns[2].__lid_source__
+        assert "p0_done()" in fns[1].__lid_source__
+        assert "p0_done" not in fns[0].__lid_source__
+
+    def test_cache_never_exceeds_its_bound(self, monkeypatch):
+        from repro.engine import codegen
+
+        calls = _count_generations(monkeypatch)
+        monkeypatch.setattr(codegen, "CODE_CACHE_SIZE", 3)
+        netlist, rs_counts = ring_netlist(3, rs_total=2)
+        model = elaborate(netlist, rs_counts=rs_counts)
+        variants = [
+            (instruments, stop_mode, steady, horizon)
+            for instruments in (
+                InstrumentSet.none(),
+                InstrumentSet(trace=False, shell_stats=True, occupancy=False),
+            )
+            for stop_mode in (STOP_ANY_DONE, STOP_TARGET)
+            for steady in (False, True)
+            for horizon in (False, True)
+        ]
+        for instruments, stop_mode, steady, horizon in variants:
+            compiled_run_fn(model, instruments, stop_mode, steady, horizon)
+            assert codegen.code_cache_size() <= 3
+        assert len(calls) == len(variants)
+        compiled_run_fn(model, *variants[-1])  # most recent: still cached
+        assert len(calls) == len(variants)
+        compiled_run_fn(model, *variants[0])  # oldest: evicted, compiles again
+        assert len(calls) == len(variants) + 1
+        assert codegen.code_cache_size() == 3
+
+    def test_threads_share_the_cache_safely(self, monkeypatch):
+        """More threads than cores looking up, compiling and evicting at once.
+
+        Every lookup races evictions by the other threads (eight variants,
+        room for six); a torn LRU shows as an exception or an oversized
+        cache, a wrong function as a result that differs from the reference.
+        """
+        import random
+        import threading
+
+        from repro.engine import codegen
+        from repro.topology import make_topology
+
+        monkeypatch.setattr(codegen, "CODE_CACHE_SIZE", 6)
+        codegen.clear_code_cache()
+        controls = RunControls(horizon=150, steady_state=False)
+        cases = [(stages, relaxed) for stages in (2, 3, 4, 5) for relaxed in (False, True)]
+
+        def bind(stages, relaxed):
+            topology = make_topology("ring", stages=stages, rs_total=stages - 1)
+            return elaborate(
+                topology.netlist, rs_counts=topology.rs_counts, relaxed=relaxed
+            )
+
+        def outcome(model, kernel):
+            result = make_kernel(model, kernel).run(controls, InstrumentSet.none())
+            return result.cycles, result.firings
+
+        expected = {case: outcome(bind(*case), "reference") for case in cases}
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            # Runs are not thread-safe on shared processes: own netlists.
+            models = {case: bind(*case) for case in cases}
+            try:
+                for step in range(800):
+                    case = rng.choice(cases)
+                    if step % 100 == 0:
+                        if outcome(models[case], "compiled") != expected[case]:
+                            errors.append(case)
+                    else:
+                        codegen.compiled_run_fn(models[case], InstrumentSet.none())
+                    if codegen.code_cache_size() > 6:
+                        errors.append(codegen.code_cache_size())
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,)) for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert codegen.code_cache_size() <= 6
+
+    @given(shape=zoo_shapes(), data=st.data())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_zoo_bindings_share_one_function(self, shape, data):
+        """Random RS vectors and capacities of one zoo netlist: one function.
+
+        Counts match full simulation on the reference kernel; the detector's
+        period, warmup and extrapolated flag match the interpreted kernel's
+        (the reference kernel never extrapolates).
+        """
+        from repro.topology import make_topology
+
+        kind, params, relaxed = shape
+        netlist = make_topology(kind, **params).netlist
+        controls = RunControls(horizon=3_000, max_cycles=10_000, deadlock_limit=200)
+        instruments = InstrumentSet(trace=False, shell_stats=True, occupancy=True)
+        n_chans = len(netlist.channels)
+        fns = set()
+        for _ in range(3):
+            counts = data.draw(
+                st.lists(st.integers(min_value=0, max_value=3),
+                         min_size=n_chans, max_size=n_chans)
+            )
+            capacity = data.draw(st.integers(min_value=1, max_value=4))
+            model = Elaborator(netlist).bind(
+                rs_counts=dict(zip(netlist.channels, counts)),
+                relaxed=relaxed, queue_capacity=capacity,
+            )
+            plan = detection_plan(model, instruments, asymptotic=True)
+            fns.add(id(compiled_run_fn(
+                model, instruments, STOP_ANY_DONE,
+                steady=plan is not None, horizon=True,
+            )))
+            kind_full, full = _horizon_outcome(model, "reference", controls, instruments)
+            kind_got, got = _horizon_outcome(model, "compiled", controls, instruments)
+            kind_fast, fast = _horizon_outcome(model, "fast", controls, instruments)
+            assert kind_full == kind_got == kind_fast
+            if full is not None:
+                _assert_matches_full(full, got)
+                assert (got.period, got.warmup_cycles, got.extrapolated) == (
+                    fast.period, fast.warmup_cycles, fast.extrapolated
+                )
+        assert len(fns) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -429,8 +429,10 @@ class TestServiceFaultTolerance:
         # A blocking on_cycle observer wedges the evaluation; close() with
         # cancel_pending must unblock the submitter by failing the job.
         release = threading.Event()
+        entered = threading.Event()
 
         def block(cycle, fired):
+            entered.set()
             release.wait(timeout=60)
 
         service = EvaluationService(workers=1, join_timeout=0.5)
@@ -440,7 +442,8 @@ class TestServiceFaultTolerance:
                 [(layout, _configs(1)[0])],
                 controls=RunControls(stop_process="CU", on_cycle=block),
             )
-            time.sleep(0.3)  # let the scheduler pick the job up
+            # The scheduler has picked the job up once the observer runs.
+            assert entered.wait(timeout=60)
             started = time.monotonic()
             service.close(cancel_pending=True)
             assert time.monotonic() - started < 10.0
@@ -467,10 +470,15 @@ class TestServiceFaultTolerance:
 
             thread = threading.Thread(target=submitter, daemon=True)
             thread.start()
-            time.sleep(0.5)
+            deadline = time.monotonic() + 30
+            while (
+                service.stats()["queue_depth"] != 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert service.stats()["queue_depth"] == 2
             # Scheduler not started: the third enqueue is blocked on a slot.
             assert not submitted
-            assert service.stats()["queue_depth"] == 2
             service.start()
             thread.join(timeout=120)
             assert not thread.is_alive() and submitted
