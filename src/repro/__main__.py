@@ -28,13 +28,12 @@ environment variable is consulted, and the compiled kernel is the final
 default.  ``table1`` and ``sweep`` also accept ``--shards N`` to
 evaluate their configuration batches on N worker processes, and
 ``--no-steady-state`` to disable steady-state period detection (threaded
-through the run controls of every simulation the command starts; the
-``REPRO_STEADY_STATE`` environment variable is also set for the duration
-of the command — and restored afterwards — so spawned workers inherit the
-choice).  ``table1 --horizon N`` runs every row on the looping workload
-variant for exactly N cycles and reports the asymptotic (steady-state
-extrapolated) throughput.  ``sweep mixed`` runs the sort and matmul
-workloads through one multi-netlist scheduler pool.
+through the run controls of every simulation the command starts, which
+travel with each shard to pool workers and as ``"steady_state": false`` in
+daemon request bodies).  ``table1 --horizon N`` runs every row on the
+looping workload variant for exactly N cycles and reports the asymptotic
+(steady-state extrapolated) throughput.  ``sweep mixed`` runs the sort and
+matmul workloads through one multi-netlist scheduler pool.
 
 Service integration (see :mod:`repro.service`): ``table1`` and ``sweep``
 accept ``--cache-dir PATH`` to route every row through the evaluation
@@ -110,8 +109,8 @@ def _add_steady_state_option(parser) -> None:
         "--no-steady-state",
         action="store_true",
         help=(
-            "disable steady-state period detection / extrapolation "
-            "(equivalent to REPRO_STEADY_STATE=0)"
+            "disable steady-state period detection / extrapolation in "
+            "every simulation the command starts"
         ),
     )
 
@@ -609,9 +608,9 @@ def _stream_printer(total=None):
     return on_result
 
 
-def _steady_state_flag(args) -> Optional[bool]:
-    """``--no-steady-state`` as an explicit RunControls argument (else None)."""
-    return False if getattr(args, "no_steady_state", False) else None
+def _steady_state_flag(args) -> bool:
+    """``RunControls.steady_state`` for this command (``--no-steady-state``)."""
+    return not getattr(args, "no_steady_state", False)
 
 
 def _run_table1(args, service=None) -> int:
@@ -724,7 +723,7 @@ def _submit_bodies(args):
         "matmul": {"size": args.matmul_size},
     }
     controls = {"max_cycles": args.max_cycles}
-    if _steady_state_flag(args) is False:
+    if not _steady_state_flag(args):
         controls["steady_state"] = False
     return [
         {
@@ -962,23 +961,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not getattr(args, "no_steady_state", False):
-        return _dispatch(args)
-    # --no-steady-state is threaded through RunControls (steady_state=False)
-    # by the command runners; the environment variable is additionally set
-    # for the duration of the command so layers that only consult the env —
-    # notably spawned worker processes — inherit the choice, and restored
-    # afterwards so nothing leaks into later in-process API calls.
-    env_var = "REPRO_STEADY_STATE"
-    previous = os.environ.get(env_var)
-    os.environ[env_var] = "0"
-    try:
-        return _dispatch(args)
-    finally:
-        if previous is None:
-            os.environ.pop(env_var, None)
-        else:
-            os.environ[env_var] = previous
+    return _dispatch(args)
 
 
 if __name__ == "__main__":

@@ -195,9 +195,7 @@ def simulated_throughput_objective(
     (``stop_process``, ``target_firings``, ``max_cycles``, ``horizon``,
     ``steady_state``, ...) — long-horizon objectives (``horizon=100_000``)
     are served by steady-state period detection wherever the netlist
-    supports it, and repeated evaluations warm-start from the periods the
-    runner has already seen on this layout (see
-    :mod:`repro.engine.steady_state`).
+    supports it (see :mod:`repro.engine.steady_state`).
 
     With *service* (an :class:`~repro.service.EvaluationService`) every
     evaluation is submitted through the shared scheduler instead of a

@@ -121,7 +121,7 @@ class LidSimulator:
         deadlock_limit: int = 10_000,
         on_cycle: Optional[Callable[[int, Dict[str, bool]], None]] = None,
         horizon: Optional[int] = None,
-        steady_state: Optional[bool] = None,
+        steady_state: bool = True,
         steady_state_window: Optional[int] = None,
     ) -> LidResult:
         """Run the latency-insensitive system.
@@ -150,8 +150,7 @@ class LidSimulator:
             Run exactly this many cycles unless a stop condition fires
             earlier; reaching the horizon is a normal halt, not a timeout.
         steady_state:
-            Steady-state period detection switch (None consults the
-            ``REPRO_STEADY_STATE`` environment variable, then the default).
+            Steady-state period detection switch (on by default).
         steady_state_window:
             Cycles to search for a state recurrence before disarming.
         """

@@ -98,7 +98,7 @@ class CaseStudyCpu:
         record_trace: bool = True,
         kernel: Optional[str] = None,
         horizon: Optional[int] = None,
-        steady_state: Optional[bool] = None,
+        steady_state: bool = True,
         steady_state_window: Optional[int] = None,
     ) -> LidResult:
         """Run one wire-pipelined configuration (WP1 when strict, WP2 when relaxed).

@@ -26,9 +26,8 @@ frame carries only ``(key, label)`` pairs), inline otherwise.
 
 Agents also keep a small cross-batch runner cache keyed by netlist content
 digest (:class:`_RunnerCache`): successive batches of a sweep re-ship the
-same netlists, and reusing the runner object carries its elaborated layouts,
-compiled kernel functions and steady-state period memory to the next lease
-instead of rebuilding them from the pickled spec every time.
+same netlists, and reusing the runner object carries its elaborated layout
+to the next lease instead of rebuilding it from the pickled spec every time.
 """
 
 from __future__ import annotations
@@ -56,10 +55,9 @@ class _RunnerCache:
     """Small LRU of runners keyed by netlist content digest + build options.
 
     Agents serve many batches over their lifetime, and successive batches of
-    a sweep usually re-ship the very same netlists.  Runners accumulate the
-    expensive per-layout state as they evaluate — elaborated layouts,
-    compiled kernel functions, steady-state period memory — so keeping the
-    runner object alive across batches carries all of it to the next lease.
+    a sweep usually re-ship the very same netlists.  A runner holds the
+    expensive per-layout state, its elaborated layout, so keeping the runner
+    object alive across batches carries it to the next lease.
     The key is the netlist's :func:`~repro.engine.batch.content_digest`
     (the identity the result cache keys on too) plus the scalar build
     options of the work spec; a netlist that fails to pickle has no content

@@ -18,12 +18,10 @@ observers composed on top):
 * :mod:`repro.engine.steady_state` — steady-state period detection and
   analytic extrapolation: eligible long-horizon runs detect the schedule's
   first state recurrence and skip the remaining periods analytically
-  (DESIGN.md §4), controlled by ``RunControls.steady_state`` and the
-  ``REPRO_STEADY_STATE`` environment variable.
+  (DESIGN.md §4), switched by ``RunControls.steady_state``.
 
 :class:`repro.engine.batch.BatchRunner` sits on top, evaluating many
-configurations against one elaborated layout (warm-starting detection from
-the periods it has already seen), and
+configurations against one elaborated layout, and
 :class:`repro.engine.batch.MultiNetlistRunner` schedules tagged batches
 over several layouts in one call.  The optimiser's simulated objectives,
 the experiment sweeps and the Table 1 harness reach them through one
@@ -62,12 +60,9 @@ from .reference import ChannelPipeline, ReferenceKernel
 from .result import LidResult, SupervisionStats
 from .steady_state import (
     DEFAULT_DETECTION_WINDOW,
-    STEADY_STATE_ENV_VAR,
     DetectionPlan,
-    PeriodMemory,
     certify_model,
     detection_plan,
-    resolve_steady_state,
 )
 from .supervised_pool import SupervisedPool
 
@@ -91,10 +86,8 @@ __all__ = [
     "LockstepKernel",
     "MultiNetlistRunner",
     "NetlistLayout",
-    "PeriodMemory",
     "ReferenceKernel",
     "RunControls",
-    "STEADY_STATE_ENV_VAR",
     "SimKernel",
     "SupervisedPool",
     "SupervisionStats",
@@ -107,6 +100,5 @@ __all__ = [
     "make_kernel",
     "resolve_kernel_name",
     "resolve_rs_counts",
-    "resolve_steady_state",
     "run_lockstep_batch",
 ]

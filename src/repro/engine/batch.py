@@ -10,11 +10,9 @@ needed.  :class:`BatchRunner` serves that shape directly:
   cached on the layout, so same-shaped configurations share code objects;
 * instrumentation defaults to :meth:`InstrumentSet.none` — objective
   evaluations pay zero trace/stats cost;
-* steady-state periods detected by the kernels (see
-  :mod:`repro.engine.steady_state`) warm-start later evaluations: the runner
-  remembers the periods observed per binding shape and sizes the detection
-  window of sibling configurations from them — and disarms detection for
-  shapes a previous equally-bounded run proved non-recurring;
+* each evaluation is bind → kernel → run: its steady-state outcome (see
+  :mod:`repro.engine.steady_state`) depends only on its own model, controls
+  and instruments, never on what the runner evaluated before;
 * :meth:`run_many` fans out through the **batch executor** (see
   :mod:`repro.engine.supervised_pool`): the configurations are chunked
   into shards and one dispatcher leases them to workers — local processes
@@ -36,8 +34,7 @@ needed.  :class:`BatchRunner` serves that shape directly:
 layouts at once** (e.g. the sort and matmul processors, or the WP1 and WP2
 flavours of one netlist, in a single sweep): work items are tagged with a
 layout name, one persistent pool serves every layout, and each worker keeps
-one rebuilt :class:`BatchRunner` — with its per-layout compiled-function
-caches and period memory — per layout for the shards it is handed.
+one rebuilt :class:`BatchRunner` per layout for the shards it is handed.
 ``BatchRunner.run_many`` is a thin single-layout wrapper over the same
 machinery.
 """
@@ -50,7 +47,7 @@ import multiprocessing
 import pickle
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -73,11 +70,6 @@ from .faults import active_plan, maybe_fault_item
 from .instrumentation import InstrumentSet
 from .kernel import RunControls, make_kernel, resolve_kernel_name
 from .result import LidResult, SupervisionStats, coerce_native, native_int_map
-from .steady_state import (
-    DEFAULT_DETECTION_WINDOW,
-    PeriodMemory,
-    detection_plan,
-)
 from .supervised_pool import SupervisedPool, _QuarantinedItem
 
 #: One work item: an :class:`RSConfiguration` or an explicit per-channel map,
@@ -212,11 +204,11 @@ class RunnerStore:
 
     Runners are built **on first use**: contiguous sharding tends to hand a
     worker items from only one or two layouts, so eager construction would
-    elaborate layouts the worker never touches.  Each runner accumulates
-    compiled-function caches and steady-state period memory across every
-    shard the worker serves.  A worker agent passes its cross-batch *cache*
-    (``key``/``get``/``put`` over specs) so equal specs reuse an earlier
-    batch's runner, and *on_build* to count the builds it could not avoid.
+    elaborate layouts the worker never touches.  Each runner keeps its
+    elaborated layout across every shard the worker serves.  A worker agent
+    passes its cross-batch *cache* (``key``/``get``/``put`` over specs) so
+    equal specs reuse an earlier batch's runner, and *on_build* to count
+    the builds it could not avoid.
     """
 
     def __init__(
@@ -265,16 +257,7 @@ class BatchRunner:
         rs_capacity: int = RelayStation.RS_CAPACITY,
         kernel: Optional[str] = None,
         instruments: Optional[InstrumentSet] = None,
-        period_memory: Optional[PeriodMemory] = None,
     ) -> None:
-        """*period_memory* lets several runners share one warm-start store.
-
-        The evaluation service (:mod:`repro.service`) passes a single
-        :class:`~repro.engine.steady_state.PeriodMemory` to every layout it
-        serves, so sibling shapes of one netlist family warm-start each
-        other's detection windows across jobs; omitted, the runner keeps a
-        private store (the historical behaviour).
-        """
         self.netlist = netlist
         self.relaxed = relaxed
         self.queue_capacity = queue_capacity
@@ -284,9 +267,6 @@ class BatchRunner:
             instruments if instruments is not None else InstrumentSet.none()
         )
         self._elaborator = Elaborator(netlist)
-        self._period_memory = (
-            period_memory if period_memory is not None else PeriodMemory()
-        )
         self._serial_fallback_warned = False
         self._netlist_digest: Optional[str] = None
         self._netlist_digest_known = False
@@ -356,40 +336,6 @@ class BatchRunner:
             rs_capacity=self.rs_capacity,
         )
         kernel = make_kernel(model, self.kernel_name)
-        # Warm start: size the steady-state detection window from periods
-        # already observed on this layout (and disarm detection for binding
-        # shapes a previous equally-bounded run proved non-recurring).  Only
-        # runs whose kernel actually arms the detector participate — a run
-        # where detection is impossible (trace instrument, on_cycle
-        # observer, unsupported processes) must not record a "miss".
-        memory_key = None
-        window = 0
-        lockstep_eligible = False
-        if self.kernel_name == "lockstep":
-            from .lockstep import lockstep_reason
-
-            lockstep_eligible = (
-                lockstep_reason(model, controls, self.instruments) is None
-            )
-        # Eligible lockstep runs bypass steady-state detection entirely (see
-        # repro.engine.lockstep); they must not record detection "misses"
-        # into the period memory their scalar siblings warm-start from.
-        if not lockstep_eligible and detection_plan(
-            model, self.instruments, controls.steady_state,
-            controls.steady_state_window, controls.on_cycle,
-            asymptotic=controls.asymptotic(),
-        ) is not None:
-            memory_key = PeriodMemory.key_for(model)
-            default_window = (
-                controls.steady_state_window
-                if controls.steady_state_window is not None
-                else DEFAULT_DETECTION_WINDOW
-            )
-            window = self._period_memory.window_for(
-                memory_key, controls.loop_bound(), default_window
-            )
-            if window != default_window:
-                controls = replace(controls, steady_state_window=window)
         try:
             # Fault-injection hook (no-op without an active FaultPlan): a
             # matching "raise" fault with simulation=True lands in the
@@ -408,11 +354,6 @@ class BatchRunner:
                 wrapper_kind=model.wrapper_kind,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        if memory_key is not None:
-            self._period_memory.observe(
-                memory_key, result.warmup_cycles, result.period,
-                min(result.cycles, window),
-            )
         return BatchResult.from_result(result)
 
     def _evaluate_lockstep(
@@ -425,11 +366,11 @@ class BatchRunner:
 
         Every item is bound to a model first; if the layout/run combination
         is lockstep-ineligible (see :func:`repro.engine.lockstep.lockstep_reason`)
-        the whole group falls back to the per-item scalar path, preserving
-        the period-memory warm-start machinery.  With ``on_error="raise"``
-        the first failing lane in submission order raises (the vectorised
-        run completes its sibling lanes first, but the surfaced exception is
-        the same one serial evaluation would have raised).
+        the whole group falls back to the per-item scalar path.  With
+        ``on_error="raise"`` the first failing lane in submission order
+        raises (the vectorised run completes its sibling lanes first, but
+        the surfaced exception is the same one serial evaluation would have
+        raised).
         """
         from .lockstep import lockstep_reason, run_lockstep_batch
 
@@ -584,8 +525,7 @@ class BatchRunner:
         paper's golden-relative throughput, otherwise the system minimum of
         firings per cycle.  Long-horizon objectives (``horizon=100_000``)
         are served by steady-state extrapolation wherever the netlist
-        supports detection, and successive evaluations warm-start from the
-        periods already seen on this layout.
+        supports detection.
 
         The callable also carries a ``many(assignments)`` method evaluating a
         whole population through :meth:`run_many` (sharded across *workers*
@@ -622,8 +562,7 @@ class MultiNetlistRunner:
     ``(layout name, batch item)`` pairs, results come back in submission
     order, and with ``workers > 1`` a single worker pool serves every
     layout — each worker rebuilds one :class:`BatchRunner` per layout from
-    the pickled spec and keeps its compiled-function caches and steady-state
-    period memory warm across all the shards it evaluates.
+    the pickled spec and keeps it across all the shards it evaluates.
     """
 
     def __init__(self, runners: Mapping[str, "BatchRunner"]) -> None:
@@ -641,24 +580,17 @@ class MultiNetlistRunner:
         cls,
         netlists: Mapping[str, Netlist],
         per_layout: Optional[Mapping[str, Mapping[str, Any]]] = None,
-        period_memory: Optional[PeriodMemory] = None,
         **defaults: Any,
     ) -> "MultiNetlistRunner":
         """Build one :class:`BatchRunner` per named netlist.
 
         *defaults* are passed to every runner; *per_layout* overrides them
-        for individual names (e.g. ``{"wp2": {"relaxed": True}}``).  With
-        *period_memory* every runner shares that single warm-start store, so
-        periods detected on one layout size the detection windows of sibling
-        shapes on every other (the evaluation service relies on this; see
-        :class:`~repro.engine.steady_state.PeriodMemory`).
+        for individual names (e.g. ``{"wp2": {"relaxed": True}}``).
         """
         per_layout = per_layout or {}
         runners = {}
         for name, netlist in netlists.items():
             kwargs = dict(defaults)
-            if period_memory is not None:
-                kwargs["period_memory"] = period_memory
             kwargs.update(per_layout.get(name, {}))
             runners[name] = BatchRunner(netlist, **kwargs)
         return cls(runners)

@@ -72,11 +72,9 @@ class RunControls:
     #: timeout.  The asymptotic-throughput objective runs use it, and it is
     #: the mode steady-state extrapolation accelerates the most.
     horizon: Optional[int] = None
-    #: Steady-state period detection switch.  ``None`` consults the
-    #: ``REPRO_STEADY_STATE`` environment variable, then the default (on);
-    #: explicit True/False always wins (see
-    #: :func:`repro.engine.steady_state.resolve_steady_state`).
-    steady_state: Optional[bool] = None
+    #: Steady-state period detection switch (on by default wherever it is
+    #: sound; see :func:`repro.engine.steady_state.detection_plan`).
+    steady_state: bool = True
     #: Cycles to search for a state recurrence before disarming the detector
     #: (bounds its memory).  ``None`` uses the module default; 0 disables.
     steady_state_window: Optional[int] = None

@@ -18,12 +18,12 @@ This module holds everything the kernels share:
   for netlists of :attr:`~repro.core.process.Process.schedule_complete`
   processes whose control is data-dependent (:func:`certify_model`,
   DESIGN.md §5);
-* the ``REPRO_STEADY_STATE`` environment override and its precedence rules
-  (:func:`resolve_steady_state`, mirroring ``REPRO_KERNEL``);
 * the extrapolation arithmetic — how many whole periods a run may skip
-  without overshooting its stop condition (:func:`periods_to_skip`);
-* :class:`PeriodMemory`, the warm-start store the batch runner uses to size
-  detection windows from periods already observed on the same layout.
+  without overshooting its stop condition (:func:`periods_to_skip`).
+
+Whether a run detects, and what it finds, depends only on that run's model,
+controls and instruments: every run searches ``steady_state_window`` cycles
+(default :data:`DEFAULT_DETECTION_WINDOW`), whatever ran before it.
 
 The hot-path work (building the snapshot key each cycle, the recurrence
 dictionary) lives inside each kernel — interpreted in
@@ -34,7 +34,6 @@ the uninstrumented cycle loop.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,35 +41,9 @@ from ..core.process import SCHEDULE_INERT, overrides_hook
 from .elaboration import ElaboratedModel
 from .instrumentation import InstrumentSet
 
-#: Environment variable consulted when ``RunControls.steady_state`` is None.
-#: ``REPRO_STEADY_STATE=0`` disables detection globally (the CLI flag
-#: ``--no-steady-state`` sets it); any other non-empty value enables it.
-STEADY_STATE_ENV_VAR = "REPRO_STEADY_STATE"
-
-#: Steady-state detection is on by default wherever it is sound.
-DEFAULT_STEADY_STATE = True
-
 #: Default number of cycles the detector searches for a recurrence before
-#: disarming (bounds the snapshot dictionary; the batch runner tightens it
-#: adaptively through :class:`PeriodMemory`).
+#: disarming (bounds the snapshot dictionary).
 DEFAULT_DETECTION_WINDOW = 16_384
-
-_FALSY = frozenset({"0", "false", "no", "off"})
-
-
-def resolve_steady_state(flag: Optional[bool]) -> bool:
-    """Resolve the steady-state switch.
-
-    Precedence mirrors ``REPRO_KERNEL``: the explicit *flag* argument, then
-    the ``REPRO_STEADY_STATE`` environment variable (ignored when empty),
-    then :data:`DEFAULT_STEADY_STATE`.
-    """
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get(STEADY_STATE_ENV_VAR, "").strip()
-    if env:
-        return env.lower() not in _FALSY
-    return DEFAULT_STEADY_STATE
 
 
 @dataclass
@@ -177,15 +150,15 @@ def channel_offset_pairs(model: ElaboratedModel) -> List[Tuple[int, int]]:
 def detection_plan(
     model: ElaboratedModel,
     instruments: InstrumentSet,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     window: Optional[int] = None,
     on_cycle: Optional[object] = None,
     asymptotic: bool = True,
 ) -> Optional[DetectionPlan]:
     """The snapshot plan for one run, or None when detection must stay off.
 
-    Detection is disabled when the run is switched off (argument / env /
-    default), when the trace instrument records per-cycle channel emissions
+    Detection is disabled when the run switches it off (*steady_state*
+    False), when the trace instrument records per-cycle channel emissions
     (an extrapolated run cannot reproduce the skipped cycles' values — see
     DESIGN.md §4), when a per-cycle ``on_cycle`` observer is installed, or
     when any process cannot summarise its schedule-relevant state.
@@ -198,7 +171,7 @@ def detection_plan(
     per-cycle overhead.  Plain plans are unaffected — their snapshots are a
     few integers and done-mode recurrences still prove timeouts early.
     """
-    if not resolve_steady_state(steady_state):
+    if not steady_state:
         return None
     if instruments.trace or on_cycle is not None:
         return None
@@ -310,71 +283,3 @@ def stats_jump(
         st_disc[p] += skip * (st_disc[p] - b_disc[p])
         scale_counts(st_dp[p], b_dp[p], skip)
         scale_counts(st_mp[p], b_mp[p], skip)
-
-
-class PeriodMemory:
-    """Warm-start store: periods already detected on one netlist layout.
-
-    Keyed by the *binding shape* (relay-chain shape, element capacities,
-    wrapper flavour): re-running the same shape detects the same period, and
-    sibling shapes of one layout settle on similar scales.  The batch runner
-    uses it to
-
-    * tighten the detection window to a small multiple of the period already
-      seen for the exact shape (repeat evaluations stop paying for a large
-      snapshot dictionary),
-    * derive a layout-wide window for shapes not seen yet from the largest
-      (warmup + period) observed so far, and
-    * disarm detection outright for shapes that provably do not recur within
-      the cycles a previous equally-bounded run already searched.
-    """
-
-    def __init__(self) -> None:
-        self._hits: Dict[Tuple, int] = {}
-        self._misses: Dict[Tuple, int] = {}
-        self._layout_scale = 0
-
-    @staticmethod
-    def key_for(model: ElaboratedModel) -> Tuple:
-        return (
-            tuple(tuple(chain) for chain in model.chan_chain),
-            tuple(model.queue_caps),
-            model.relaxed,
-        )
-
-    def observe(
-        self,
-        key: Tuple,
-        warmup: Optional[int],
-        period: Optional[int],
-        cycles_searched: int,
-    ) -> None:
-        if period:
-            scale = (warmup or 0) + period
-            self._hits[key] = scale
-            self._misses.pop(key, None)
-            if scale > self._layout_scale:
-                self._layout_scale = scale
-            else:
-                # Decay toward recent observations: without this, one
-                # pathological warmup seen early in a batch would inflate the
-                # sibling windows of every later shape permanently.
-                self._layout_scale -= (self._layout_scale - scale) // 2
-        elif key not in self._hits:
-            previous = self._misses.get(key, 0)
-            if cycles_searched > previous:
-                self._misses[key] = cycles_searched
-
-    def window_for(self, key: Tuple, bound: int, default: int) -> int:
-        """The detection window to use for *key* (0 disarms detection)."""
-        scale = self._hits.get(key)
-        if scale is not None:
-            return min(default, 2 * scale + 16)
-        searched = self._misses.get(key)
-        if searched is not None and bound <= searched:
-            return 0  # provably non-recurring within this run's bound
-        if self._layout_scale:
-            # Searching past the run's own cycle bound buys nothing: cap the
-            # sibling window there as well as at the caller's default.
-            return min(default, bound, max(256, 8 * self._layout_scale))
-        return default

@@ -99,7 +99,7 @@ def _cpu_throughputs(
     items: Sequence,
     kernel: Optional[str],
     workers: int,
-    steady_state: Optional[bool],
+    steady_state: bool,
     service,
     on_result,
 ) -> List[Tuple[float, float]]:
@@ -132,7 +132,7 @@ def queue_capacity_sweep(
     configuration: Optional[RSConfiguration] = None,
     kernel: Optional[str] = None,
     workers: int = 1,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
     on_result=None,
 ) -> SweepResult:
@@ -163,7 +163,7 @@ def uniform_depth_sweep(
     exclude: Sequence[str] = (LINK_CU_IC,),
     kernel: Optional[str] = None,
     workers: int = 1,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
     on_result=None,
 ) -> SweepResult:
@@ -201,7 +201,7 @@ def clock_frequency_sweep(
     wire_model: Optional[WireModel] = None,
     kernel: Optional[str] = None,
     workers: int = 1,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
     on_result=None,
 ) -> SweepResult:
@@ -256,7 +256,7 @@ def mixed_workload_sweep(
     kernel: Optional[str] = None,
     workers: int = 1,
     max_cycles: int = 5_000_000,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     configurations: Optional[Sequence[RSConfiguration]] = None,
     queue_capacities: Sequence[int] = (4,),
     service=None,
@@ -268,7 +268,7 @@ def mixed_workload_sweep(
     single :class:`~repro.engine.batch.MultiNetlistRunner`; the whole sweep —
     all workloads, both wrapper flavours, every depth — is one tagged batch
     served by one persistent worker pool, so workers amortise their per-layout
-    compiled-function caches and steady-state period memory across the mix.
+    elaboration and generated code across the mix.
     Returns one :class:`SweepResult` per workload name.
 
     *configurations* overrides the uniform-depth row list; *queue_capacities*
@@ -358,7 +358,7 @@ def topology_sweep(
     workers: int = 1,
     horizon: int = FREE_RUNNING_HORIZON,
     max_cycles: int = 5_000_000,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
     on_result=None,
     topology=None,

@@ -44,7 +44,9 @@ class Table1Row:
     wp1_throughput: float
     wp2_throughput: float
     static_bound: float
-    equivalent: bool
+    #: N-equivalence of both wrapped runs to the golden trace; None when the
+    #: row was evaluated without the check (the batched, trace-free path).
+    equivalent: Optional[bool]
 
     @property
     def improvement_percent(self) -> float:
@@ -200,7 +202,7 @@ def evaluate_rows(
     kernel: Optional[str] = None,
     workers: int = 1,
     horizon: Optional[int] = None,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
 ) -> Table1Result:
     """Run golden + WP1 + WP2 for every configuration and collect the rows.
@@ -209,7 +211,8 @@ def evaluate_rows(
     wrapper flavours are evaluated through one sharded
     :class:`~repro.engine.batch.MultiNetlistRunner` pool (one shared layout
     per flavour, uninstrumented runs, ``workers`` processes); equivalence
-    checking needs full traces and keeps the per-row path.
+    checking needs full traces and keeps the per-row path.  Rows evaluated
+    without the check report ``equivalent=None``.
 
     With *service* (an :class:`~repro.service.EvaluationService`) the rows
     are submitted through its scheduler instead: completed rows stream to
@@ -224,9 +227,9 @@ def evaluate_rows(
     objective.  The five CPU units carry certified ``schedule_state()``
     summaries, so the steady-state detector extrapolates these rows from one
     detected loop period with counts bit-identical to full simulation
-    (DESIGN.md §5); *steady_state* forces the detector on/off (None
-    consults ``REPRO_STEADY_STATE``).  The golden reference still runs the
-    one-shot program (a looped golden run would never halt).
+    (DESIGN.md §5); *steady_state* switches the detector off when False
+    (the rows are identical either way).  The golden reference still runs
+    the one-shot program (a looped golden run would never halt).
     """
     builder = build_pipelined_cpu if pipelined else build_multicycle_cpu
     cpu = builder(workload.program)
@@ -277,7 +280,7 @@ def _evaluate_rows_batched(
     workers: int,
     progress: Optional[Callable[[str], None]] = None,
     horizon: Optional[int] = None,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
 ) -> List[Table1Row]:
     from ..engine.evaluator import BatchEvaluator
@@ -336,7 +339,7 @@ def _evaluate_rows_batched(
                 wp1_throughput=row_throughput(wp1),
                 wp2_throughput=row_throughput(wp2),
                 static_bound=bound,
-                equivalent=True,
+                equivalent=None,
             )
         )
     return rows
@@ -351,7 +354,10 @@ def evaluate_configuration(
     max_cycles: int = 5_000_000,
     kernel: Optional[str] = None,
 ) -> Table1Row:
-    """Evaluate one configuration under both wrappers against a golden run."""
+    """Evaluate one configuration under both wrappers against a golden run.
+
+    The row's ``equivalent`` is None unless *check_equivalence* ran the check.
+    """
     wp1 = cpu.run_wire_pipelined(
         configuration=configuration,
         relaxed=False,
@@ -366,7 +372,7 @@ def evaluate_configuration(
         max_cycles=max_cycles,
         kernel=kernel,
     )
-    equivalent = True
+    equivalent = None
     if check_equivalence:
         equivalent = (
             n_equivalent(golden.trace, wp1.trace).equivalent
@@ -396,7 +402,7 @@ def run_table1_sort(
     kernel: Optional[str] = None,
     workers: int = 1,
     horizon: Optional[int] = None,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
 ) -> Table1Result:
     """Regenerate the Extraction Sort section of Table 1."""
@@ -426,7 +432,7 @@ def run_table1_matmul(
     kernel: Optional[str] = None,
     workers: int = 1,
     horizon: Optional[int] = None,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
 ) -> Table1Result:
     """Regenerate the Matrix Multiply section of Table 1."""
@@ -457,7 +463,7 @@ def run_table1(
     kernel: Optional[str] = None,
     workers: int = 1,
     horizon: Optional[int] = None,
-    steady_state: Optional[bool] = None,
+    steady_state: bool = True,
     service=None,
 ) -> Dict[str, Table1Result]:
     """Regenerate both sections of Table 1 (keys: ``"sort"``, ``"matmul"``)."""

@@ -7,8 +7,7 @@ simulate the same configuration twice.
 * :class:`EvaluationService` — the scheduler (submit / stream / callbacks,
   priorities, cancellation, in-flight dedup, job retry with terminal
   failure after ``max_job_attempts``, bounded submission via
-  ``max_pending``, one shared
-  :class:`~repro.engine.steady_state.PeriodMemory` across layouts);
+  ``max_pending``);
 * :class:`ResultCache` — the content-addressed result store (in-memory LRU
   plus optional on-disk JSON tier with checksum-verified entries; corrupt
   files are quarantined as ``<key>.corrupt``, never trusted);

@@ -54,13 +54,15 @@ from ..engine.batch import BatchResult, BatchRunner, _Item
 from ..engine.elaboration import resolve_rs_counts
 from ..engine.faults import corrupt_file, should_corrupt
 from ..engine.kernel import RunControls
-from ..engine.steady_state import resolve_steady_state
 
 #: Bump when the key derivation or the serialized form changes incompatibly:
 #: old disk entries then miss (sound) instead of deserializing garbage.
 #: v2: payload checksum added to the disk form (v1 files miss cleanly — a
 #: version mismatch is compatibility, not corruption, and is not quarantined).
-CACHE_SCHEMA_VERSION = 2
+#: v3: a row's steady-state outcome depends only on its own model and
+#: controls; v2 entries could carry a period-less row whose detection window
+#: an earlier, unrelated row had shrunk, so they miss and are recomputed.
+CACHE_SCHEMA_VERSION = 3
 
 
 def controls_signature(controls: RunControls) -> Optional[Tuple]:
@@ -69,9 +71,9 @@ def controls_signature(controls: RunControls) -> Optional[Tuple]:
     Returns None when the run is uncacheable: an ``on_cycle`` observer makes
     the run's *purpose* its side effects, which a cache hit would skip.
 
-    ``steady_state`` enters the signature in *resolved* form (argument >
-    ``REPRO_STEADY_STATE`` env > default), so a cached entry answers exactly
-    the runs that would have produced byte-identical metadata.
+    ``steady_state`` and ``steady_state_window`` enter the signature because
+    they decide the row's period/warmup/extrapolated metadata, so a cached
+    entry answers exactly the runs that would have produced it.
     """
     if controls.on_cycle is not None:
         return None
@@ -90,7 +92,7 @@ def controls_signature(controls: RunControls) -> Optional[Tuple]:
         controls.extra_cycles,
         controls.deadlock_limit,
         controls.horizon,
-        resolve_steady_state(controls.steady_state),
+        controls.steady_state,
         controls.steady_state_window,
     )
 

@@ -4,12 +4,10 @@
 serveable subsystem.  Any number of concurrent submitters (sweep loops,
 optimiser strategies, Table 1 harnesses, CLI invocations) hand it tagged
 batch items; one scheduler thread multiplexes them — in priority order —
-onto a single persistent :class:`~repro.engine.batch.MultiNetlistRunner`
-whose layouts all share one
-:class:`~repro.engine.steady_state.PeriodMemory`, so steady-state periods
-detected for one job warm-start the detection windows of every sibling
-shape that follows.  Results come back three ways: the async iterator
-(``async for job in service.stream(items, ...)``), the synchronous
+onto a single persistent :class:`~repro.engine.batch.MultiNetlistRunner`.
+A job's result depends only on its own request, never on which jobs the
+service evaluated before it.  Results come back three ways: the async
+iterator (``async for job in service.stream(items, ...)``), the synchronous
 completion-order generator (:meth:`JobSet.results`), and per-job completion
 callbacks (``submit(..., on_result=...)``).
 
@@ -22,8 +20,8 @@ Three layers keep repeated work at zero:
    queued or running attaches to it as a *follower* and receives a copy of
    the result when the primary completes: two optimiser strategies (or two
    asyncio tasks) racing over the same candidate cost one simulation;
-3. **warm starts** — the shared period memory and the per-layout compiled
-   kernel caches of the underlying runners persist across jobs.
+3. **warm layouts** — each registered layout is elaborated once, and the
+   generated kernel code is shared per netlist shape across jobs.
 
 Execution is chunked: the scheduler drains up to one *chunk* of jobs per
 step (respecting priorities), evaluates the chunk through the pool
@@ -65,7 +63,6 @@ from ..engine.batch import (
 )
 from ..engine.kernel import RunControls
 from ..engine.result import SupervisionStats
-from ..engine.steady_state import PeriodMemory
 from .cache import ResultCache, relabel, result_key
 from .jobs import Job, JobSet, JobStatus
 
@@ -128,7 +125,6 @@ class EvaluationService:
         workers: int = 1,
         chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
-        period_memory: Optional[PeriodMemory] = None,
         autostart: bool = True,
         max_job_attempts: int = 2,
         max_pending: Optional[int] = None,
@@ -147,9 +143,6 @@ class EvaluationService:
         self.workers = workers
         self.chunk_size = chunk_size
         self.start_method = start_method
-        self.period_memory = (
-            period_memory if period_memory is not None else PeriodMemory()
-        )
         self.autostart = autostart
         self.max_job_attempts = max_job_attempts
         self.join_timeout = join_timeout
@@ -216,16 +209,12 @@ class EvaluationService:
         layout is reused only when its netlist content matches; a mismatch
         is an error (silently swapping netlists under one name would poison
         every consumer grouping results by layout).
-
-        The created runner always joins the service's shared
-        :class:`~repro.engine.steady_state.PeriodMemory`.
         """
         with self._lock:
             probe = BatchRunner(
                 netlist,
                 relaxed=relaxed,
                 kernel=kernel,
-                period_memory=self.period_memory,
                 **runner_kwargs,
             )
             digest = probe.netlist_digest() or f"id{id(netlist):x}"

@@ -302,7 +302,7 @@ class TestKernelEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestKernelSelection:
-    def test_default_kernel_is_fast(self, monkeypatch):
+    def test_default_kernel_is_compiled(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         assert resolve_kernel_name(None) == "compiled"
 

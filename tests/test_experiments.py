@@ -18,6 +18,7 @@ from repro.experiments import (
     build_figure1_netlist,
     clock_frequency_sweep,
     default_floorplan,
+    evaluate_configuration,
     evaluate_rows,
     matmul_row_configurations,
     optimal_configuration,
@@ -97,6 +98,19 @@ class TestTable1Harness:
             check_equivalence=True,
         )
         assert all(row.equivalent for row in result.rows)
+
+    def test_unchecked_rows_report_equivalence_unknown(self):
+        workload = make_extraction_sort(length=4, seed=1)
+        result = evaluate_rows(
+            workload, [RSConfiguration.ideal(), RSConfiguration.only("RF-DC")]
+        )
+        assert [row.equivalent for row in result.rows] == [None, None]
+        assert all(row.as_dict()["equivalent"] is None for row in result.rows)
+        cpu = build_pipelined_cpu(workload.program)
+        row = evaluate_configuration(
+            cpu, RSConfiguration.ideal(), cpu.run_golden(record_trace=False)
+        )
+        assert row.equivalent is None
 
     def test_progress_callback_invoked(self):
         workload = make_extraction_sort(length=4, seed=1)

@@ -5,9 +5,9 @@ Covers the ISSUE-5 checklist: hypothesis round-trips of the canonical
 period/warmup/extrapolated and the per-port stall-stat dicts), concurrent-
 submitter stress asserting in-flight dedup and cache hits, cancellation
 semantics, fork+spawn safety of the cached path, the once-per-runner
-serial-fallback warning, the shared-PeriodMemory wiring, and the
-64-row mixed WP1+WP2 acceptance scenario (bit-identical rows, streaming
-partials, warm re-run answered from cache).
+serial-fallback warning, row results independent of what the service ran
+before, and the 64-row mixed WP1+WP2 acceptance scenario (bit-identical
+rows, streaming partials, warm re-run answered from cache).
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from repro.core.tokens import VOID, Token
 from repro.core.traces import SystemTrace
 from repro.cpu.machine import build_pipelined_cpu
 from repro.cpu.workloads import make_extraction_sort, make_matrix_multiply
-from repro.engine.batch import BatchResult, BatchRunner, MultiNetlistRunner
+from repro.engine.batch import BatchResult, BatchRunner
 from repro.engine.result import LidResult
-from repro.engine.steady_state import PeriodMemory
 from repro.experiments.sweeps import (
     clock_frequency_sweep,
     mixed_workload_sweep,
@@ -225,12 +224,10 @@ class TestCacheKeys:
     def test_on_cycle_observer_is_uncacheable(self):
         assert controls_signature(RunControls(on_cycle=lambda c, d: None)) is None
 
-    def test_steady_state_resolution_enters_signature(self, monkeypatch):
+    def test_steady_state_resolution_enters_signature(self):
         explicit_on = controls_signature(RunControls(steady_state=True))
         explicit_off = controls_signature(RunControls(steady_state=False))
         assert explicit_on != explicit_off
-        monkeypatch.setenv("REPRO_STEADY_STATE", "0")
-        assert controls_signature(RunControls()) == explicit_off
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +756,7 @@ class TestServiceMultiprocessing:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: warn-once serial fallback, shared PeriodMemory
+# Satellites: warn-once serial fallback, history-free rows
 # ---------------------------------------------------------------------------
 
 class TestSerialFallbackWarning:
@@ -798,30 +795,38 @@ class TestSerialFallbackWarning:
                 self._run(runner, rs_counts)
 
 
-class TestSharedPeriodMemory:
-    def test_from_netlists_shares_one_memory(self):
-        netlist = _sort_netlist()
-        shared = PeriodMemory()
-        multi = MultiNetlistRunner.from_netlists(
-            {"wp1": netlist, "wp2": netlist},
-            per_layout={"wp2": {"relaxed": True}},
-            period_memory=shared,
-        )
-        assert multi.runner("wp1")._period_memory is shared
-        assert multi.runner("wp2")._period_memory is shared
+class TestHistoryFreeRows:
+    def test_cpu_horizon_row_ignores_an_earlier_ring_row(self):
+        """A served row equals the same row from a fresh service.
 
-    def test_without_shared_memory_runners_stay_private(self):
-        netlist = _sort_netlist()
-        multi = MultiNetlistRunner.from_netlists(
-            {"a": netlist, "b": netlist}
-        )
-        assert multi.runner("a")._period_memory is not multi.runner("b")._period_memory
+        Regression: the service shared one steady-state period memory across
+        layouts, so a ring row's 1-cycle period shrank the looped CPU row's
+        detection window; the row then ran all 60 000 cycles in full and
+        was cached without its period.
+        """
+        ring = ring_topology(stages=6, rs_total=0)
+        cpu = build_pipelined_cpu(
+            make_extraction_sort(length=8, seed=7, repeat=True).program
+        ).netlist
+        config = RSConfiguration.uniform(1, exclude=("CU-IC",))
 
-    def test_service_layouts_share_service_memory(self):
-        service, wp1, wp2 = _service_with_sort()
-        assert service.runner(wp1)._period_memory is service.period_memory
-        assert service.runner(wp2)._period_memory is service.period_memory
-        service.close()
+        def cpu_row(service):
+            layout = service.ensure_layout(cpu, relaxed=True)
+            [row] = service.submit(
+                [(layout, config)], horizon=60_000
+            ).ordered_results()
+            return row
+
+        with EvaluationService() as fresh:
+            expected = cpu_row(fresh)
+        with EvaluationService() as service:
+            ring_layout = service.ensure_layout(ring.netlist)
+            service.submit(
+                [(ring_layout, dict(ring.rs_counts))], horizon=4000
+            ).ordered_results()
+            after_ring = cpu_row(service)
+        assert expected.extrapolated and expected.period is not None
+        assert after_ring == expected
 
 
 # ---------------------------------------------------------------------------

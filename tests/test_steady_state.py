@@ -40,12 +40,9 @@ from repro.engine import (
     Elaborator,
     InstrumentSet,
     MultiNetlistRunner,
-    PeriodMemory,
-    STEADY_STATE_ENV_VAR,
     detection_plan,
     elaborate,
     make_kernel,
-    resolve_steady_state,
 )
 from repro.engine.codegen import (
     STOP_ANY_DONE,
@@ -656,49 +653,6 @@ class TestHorizon:
 
 
 # ---------------------------------------------------------------------------
-# REPRO_STEADY_STATE precedence (mirrors the REPRO_KERNEL pattern)
-# ---------------------------------------------------------------------------
-
-class TestSteadyStateEnv:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(STEADY_STATE_ENV_VAR, raising=False)
-        assert resolve_steady_state(None) is True
-
-    def test_env_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(STEADY_STATE_ENV_VAR, "0")
-        assert resolve_steady_state(None) is False
-
-    @pytest.mark.parametrize("value", ["1", "on", "yes", "true"])
-    def test_env_truthy_enables(self, monkeypatch, value):
-        monkeypatch.setenv(STEADY_STATE_ENV_VAR, value)
-        assert resolve_steady_state(None) is True
-
-    def test_empty_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(STEADY_STATE_ENV_VAR, "")
-        assert resolve_steady_state(None) is True
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(STEADY_STATE_ENV_VAR, "0")
-        assert resolve_steady_state(True) is True
-        monkeypatch.setenv(STEADY_STATE_ENV_VAR, "1")
-        assert resolve_steady_state(False) is False
-
-    def test_env_disables_detection_end_to_end(self, monkeypatch):
-        netlist, rs_counts = ring_netlist(3, rs_total=2)
-        monkeypatch.setenv(STEADY_STATE_ENV_VAR, "0")
-        off = run_lid(
-            netlist, rs_counts=rs_counts, record_trace=False, horizon=5_000
-        )
-        assert not off.extrapolated and off.period is None
-        monkeypatch.delenv(STEADY_STATE_ENV_VAR)
-        on = run_lid(
-            netlist, rs_counts=rs_counts, record_trace=False, horizon=5_000
-        )
-        assert on.extrapolated and on.cycles == off.cycles
-        assert on.firings == off.firings
-
-
-# ---------------------------------------------------------------------------
 # Result plumbing (LidResult / BatchResult satellite)
 # ---------------------------------------------------------------------------
 
@@ -742,16 +696,6 @@ class TestResultFields:
         [summary] = runner.run_many([rs_counts], horizon=20_000)
         assert summary.extrapolated and summary.period is not None
         assert summary.warmup_cycles is not None
-
-    def test_warm_start_reuses_layout_periods(self):
-        netlist, rs_counts = ring_netlist(4, rs_total=3)
-        runner = BatchRunner(netlist)
-        first, second, third = runner.run_many([rs_counts] * 3, horizon=50_000)
-        assert first.cycles == second.cycles == third.cycles
-        assert first.period == second.period == third.period
-        key = next(iter(runner._period_memory._hits))
-        window = runner._period_memory.window_for(key, 50_000, 16_384)
-        assert window <= 2 * (first.warmup_cycles + first.period) + 16
 
 
 # ---------------------------------------------------------------------------
@@ -1250,41 +1194,3 @@ class TestMultiNetlistRunner:
         for sweep in results.values():
             assert sweep.points[0].wp1_throughput == pytest.approx(1.0)
             assert sweep.points[1].wp1_throughput < 1.0
-
-
-class TestPeriodMemory:
-    def test_hit_tightens_window(self):
-        memory = PeriodMemory()
-        memory.observe(("shape",), 10, 20, 1_000)
-        assert memory.window_for(("shape",), 100_000, 16_384) == 2 * 30 + 16
-
-    def test_layout_scale_informs_siblings(self):
-        memory = PeriodMemory()
-        memory.observe(("a",), 10, 20, 1_000)
-        window = memory.window_for(("b",), 100_000, 16_384)
-        assert 256 <= window <= 16_384
-
-    def test_miss_disarms_equally_bounded_reruns(self):
-        memory = PeriodMemory()
-        memory.observe(("shape",), None, None, 5_000)
-        assert memory.window_for(("shape",), 4_000, 16_384) == 0
-        assert memory.window_for(("shape",), 50_000, 16_384) == 16_384
-
-    def test_layout_scale_decays_toward_recent_observations(self):
-        """Regression: one pathological warmup inflated siblings forever."""
-        memory = PeriodMemory()
-        memory.observe(("pathological",), 10_000, 2_000, 50_000)
-        inflated = memory.window_for(("sibling",), 1_000_000, 1 << 20)
-        assert inflated == 8 * 12_000
-        for index in range(6):
-            memory.observe((f"shape{index}",), 10, 20, 1_000)
-        recovered = memory.window_for(("sibling",), 1_000_000, 1 << 20)
-        assert recovered < inflated
-        assert recovered <= 8 * 256  # converged near the recent scale
-
-    def test_sibling_window_capped_at_run_bound(self):
-        """Regression: sibling windows could exceed the run's cycle bound."""
-        memory = PeriodMemory()
-        memory.observe(("a",), 100, 500, 5_000)  # layout scale 600
-        assert memory.window_for(("b",), 100_000, 16_384) == 8 * 600
-        assert memory.window_for(("b",), 1_000, 16_384) == 1_000

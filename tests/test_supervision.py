@@ -36,6 +36,7 @@ from repro.engine.result import SupervisionStats
 from repro.engine.supervised_pool import RESPAWN_BUDGET_PER_WORKER
 from repro.service import EvaluationService, ResultCache
 from repro.service.jobs import JobStatus
+from repro.topology import ring_topology
 
 METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -357,6 +358,41 @@ class TestEquivalenceProperty:
         assert _strip_attempts(pooled) == _strip_attempts(serial)
         assert all(r.attempts == 1 for r in pooled)
         assert not runner.supervision.eventful
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_row_period_does_not_depend_on_earlier_rows(self, method):
+        """A row's steady-state outcome is its own, serial or pooled.
+
+        Regression: serial ``run_many`` sized the 300-RS row's detection
+        window from the 1-cycle period its all-zero sibling found first, so
+        the row ran in full and reported no period, while the same row alone
+        or on another worker reported period 306.
+        """
+        topology = ring_topology(stages=6, rs_total=0)
+        zero = dict(topology.rs_counts)
+        long_chain = {**zero, "c0_1": 300}
+
+        def outcomes(results):
+            return [
+                (r.cycles, r.firings, r.halted, r.period, r.warmup_cycles,
+                 r.extrapolated)
+                for r in results
+            ]
+
+        [alone] = BatchRunner(topology.netlist).run_many(
+            [long_chain], horizon=4000
+        )
+        serial = BatchRunner(topology.netlist).run_many(
+            [zero, long_chain], horizon=4000
+        )
+        pooled = BatchRunner(topology.netlist).run_many(
+            [zero, long_chain], horizon=4000, workers=2, shards=2,
+            start_method=method,
+        )
+        assert outcomes(serial) == outcomes(pooled)
+        assert outcomes(serial)[1] == outcomes([alone])[0]
+        assert all(r.extrapolated for r in serial)
+        assert serial[1].period == 306
 
 
 # ---------------------------------------------------------------------------
