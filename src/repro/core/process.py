@@ -95,12 +95,13 @@ class Process(ABC):
     #: outputs (values included), ``is_done()`` and ``required_ports()``
     #: answers — and every output value is hashable.  Such summaries are
     #: *data-dependent* and therefore only sound under the **certified**
-    #: snapshot plan, which additionally keys the queued token values of every
-    #: channel and deep-verifies each candidate period before extrapolating
-    #: (see :func:`repro.engine.steady_state.certify_model` and DESIGN.md §5).
-    #: A process whose summary must fold large state into a digest (e.g. a
-    #: memory image) should override :meth:`schedule_verify_state` to expose
-    #: the exact state for that per-candidate verification.
+    #: plan, which only extrapolates once the exact state — summaries, the
+    #: queued token values of every channel and the verify states — has
+    #: recurred (see :func:`repro.engine.steady_state.certify_model` and
+    #: DESIGN.md §5).  A process whose summary must fold large state into a
+    #: digest (e.g. a memory image) should override
+    #: :meth:`schedule_verify_state` to expose the exact state for that
+    #: comparison.
     schedule_complete: bool = False
 
     def __init__(self, name: str) -> None:
@@ -215,12 +216,17 @@ class Process(ABC):
     def schedule_verify_state(self) -> Optional[Any]:
         """Exact state backing a :attr:`schedule_complete` summary.
 
-        Certified steady-state detection (DESIGN.md §5) compares this value at
-        the two ends of a candidate period before trusting the extrapolation,
-        so a summary may compress large state into a digest without giving up
-        bit-exactness: override this to return the uncompressed state (it runs
-        twice per candidate, never per cycle).  The default — the summary
-        itself — is correct whenever :meth:`schedule_state` is already exact.
+        Certified steady-state detection (DESIGN.md §5) compares this value
+        at both ends of a period before trusting the extrapolation, so a
+        summary may compress large state into a digest without giving up
+        bit-exactness: override this to return the uncompressed state.  The
+        compiled kernel calls an override when it records a checkpoint (a
+        few hundred times per run at most, on a geometric grid) and when the
+        summaries and queue values of a probe already matched a checkpoint;
+        it never calls the base method, whose value the summary comparison
+        already covers.  The ``fast`` kernel calls it twice per candidate
+        period.  The default — the summary itself — is correct whenever
+        :meth:`schedule_state` is already exact.
         """
         return self.schedule_state()
 

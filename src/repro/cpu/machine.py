@@ -116,9 +116,8 @@ class CaseStudyCpu:
         drain_cycles = DRAIN_CYCLES + 4 * rs_per_channel if drain else 0
         if horizon is not None and steady_state_window is None:
             # One loop iteration of a CPU workload spans thousands of
-            # cycles; certified-mode snapshot hashing keeps the search
-            # memory at one int per cycle, so the horizon itself is a safe
-            # default window.
+            # cycles; the certified search's memory is bounded whatever
+            # the window, so the horizon itself is a safe default window.
             steady_state_window = horizon
         return run_lid(
             self.netlist,

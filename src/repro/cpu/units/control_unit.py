@@ -172,19 +172,30 @@ class ControlUnit(Process):
         """
         tag = self.firings
         wait = self.branch_wait
+        scoreboard = self.scoreboard
+        if scoreboard:
+            live = [
+                (register, ready - tag)
+                for register, ready in scoreboard.items()
+                if ready > tag
+            ]
+            if len(live) < len(scoreboard):
+                # Expired entries can never gate an issue again: drop them,
+                # so later summaries (and jumps) skip them.
+                self.scoreboard = {
+                    register: tag + delay for register, delay in live
+                }
+            live.sort()
+            pending = tuple(live)
+        else:
+            pending = ()
         return (
             self.pc,
             self.halted,
             tuple(self.fetch_slots),
             tuple(self.ibuf),
             None if wait is None else (wait.resolve_at - tag, wait.target),
-            tuple(
-                sorted(
-                    (register, ready - tag)
-                    for register, ready in self.scoreboard.items()
-                    if ready > tag
-                )
-            ),
+            pending,
             0 if self.pipelined else max(self.busy_until - tag, 0),
             self.alu_command_register,
         )

@@ -84,21 +84,20 @@ class DataCache(Process):
         a digest coincidence can never corrupt an extrapolation.
         """
         tag = self.firings
-        return (
-            self._memory_digest,
-            tuple(
-                sorted((due - tag, kind) for due, kind in self.pending_access.items())
-            ),
-            tuple(
-                sorted(
-                    (due - tag, access - tag)
-                    for due, access in self.pending_store_data.items()
-                )
-            ),
-            tuple(
-                sorted((due - tag, value) for due, value in self.store_values.items())
-            ),
-        )
+        access = data = values = ()
+        if self.pending_access:
+            access = [(due - tag, kind) for due, kind in self.pending_access.items()]
+            access.sort()
+        if self.pending_store_data:
+            data = [
+                (due - tag, access_tag - tag)
+                for due, access_tag in self.pending_store_data.items()
+            ]
+            data.sort()
+        if self.store_values:
+            values = [(due - tag, value) for due, value in self.store_values.items()]
+            values.sort()
+        return (self._memory_digest, tuple(access), tuple(data), tuple(values))
 
     def schedule_verify_state(self):
         """The exact state behind the digest: the full memory image."""

@@ -79,21 +79,20 @@ class RegisterFile(Process):
         feed a decision and are excluded.
         """
         tag = self.firings
-        return (
-            tuple(self.registers),
-            tuple(
-                sorted(
-                    (due - tag, register)
-                    for due, register in self.pending_alu_writeback.items()
-                )
-            ),
-            tuple(
-                sorted(
-                    (due - tag, register)
-                    for due, register in self.pending_mem_writeback.items()
-                )
-            ),
-        )
+        alu = mem = ()
+        if self.pending_alu_writeback:
+            alu = [
+                (due - tag, register)
+                for due, register in self.pending_alu_writeback.items()
+            ]
+            alu.sort()
+        if self.pending_mem_writeback:
+            mem = [
+                (due - tag, register)
+                for due, register in self.pending_mem_writeback.items()
+            ]
+            mem.sort()
+        return (tuple(self.registers), tuple(alu), tuple(mem))
 
     def schedule_jump(self, firings: int) -> None:
         """Shift the pending-writeback due tags (see Process.schedule_jump)."""

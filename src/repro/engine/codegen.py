@@ -51,11 +51,13 @@ netlist shape, and every fresh layout of an already-seen shape (DESIGN.md
 * when the run is eligible for **steady-state detection** (see
   :mod:`repro.engine.steady_state` and DESIGN.md §4), the canonical
   snapshot is compiled into the loop as one tuple of the pre-maintained
-  integers — FIFO counters, chain states, firing-counter differences, the
-  sampled ``schedule_state()`` of the few dynamic processes — keyed into a
-  plain dict.  Once a period is measured the generated jump block advances
-  cycles, firing counters, ``g`` counters and stall statistics
-  analytically.
+  integers — FIFO counters, chain states, firing-counter differences, done
+  flags — keyed into a plain dict.  A plain plan adds the sampled
+  ``schedule_state()`` of the few dynamic processes to the key and measures
+  one period; a certified plan probes exact checkpoints with the integer
+  key and compares summaries, queue values and verify states only on a hit
+  (DESIGN.md §5).  The generated jump block then advances cycles, firing
+  counters, ``g`` counters and stall statistics analytically.
 
 The generated function is an entire run loop (not a per-cycle callable): the
 stop condition, drain window and deadlock detection are cheap per-cycle
@@ -97,10 +99,12 @@ from .elaboration import ElaboratedModel, NetlistLayout
 from .instrumentation import InstrumentSet
 from .kernel import raise_output_mismatch
 from .steady_state import (
+    CHECKPOINT_CAP,
     certify_model,
     channel_offset_pairs,
     periods_to_skip,
     stats_jump,
+    thin_checkpoints,
 )
 
 #: Name of the generated entry point inside the compiled namespace.
@@ -179,6 +183,19 @@ def _sample_chain(mo: List[int], stations: Tuple, state: int) -> None:
         state //= base
         if count > mo[qid]:
             mo[qid] = count
+
+
+def _tuple_expr(parts: List[str]) -> str:
+    """Source of a tuple display over *parts* (one item keeps its comma)."""
+    return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+
+
+#: Source copying the six stall-counter structures (the base a jump scales
+#: the per-period deltas from, see :func:`~.steady_state.stats_jump`).
+_STATS_COPY = (
+    "([*st_missing], [*st_blocked], [*st_done], [*st_disc], "
+    "[dict(_x) for _x in st_dp], [dict(_x) for _x in st_mp])"
+)
 
 
 # -- relay chains ---------------------------------------------------------------
@@ -312,9 +329,9 @@ def layout_shape(layout: NetlistLayout) -> _Shape:
     The port names of every process (inputs in FIFO order, declared
     outputs), which channels each connected output port drives, every
     channel's destination FIFO, and each process' hook flags: ``is_done`` /
-    ``required_ports`` / ``schedule_jump`` overrides and its
-    ``done_attribute``.  Process and channel names, relay stations,
-    capacities and initial values are not part of it.
+    ``required_ports`` / ``schedule_jump`` / ``schedule_verify_state``
+    overrides and its ``done_attribute``.  Process and channel names, relay
+    stations, capacities and initial values are not part of it.
     """
     shape = layout.__dict__.get(_SHAPE_ATTR)
     if shape is None:
@@ -334,6 +351,7 @@ def layout_shape(layout: NetlistLayout) -> _Shape:
                         p.done_attribute,
                         overrides_hook(p, "required_ports"),
                         overrides_hook(p, "schedule_jump"),
+                        overrides_hook(p, "schedule_verify_state"),
                     )
                     for p in procs
                 ),
@@ -441,19 +459,23 @@ class _Generator:
         # Every process fact the source depends on is read from the shape,
         # so layouts sharing a cache entry cannot differ in one.
         hooks = layout_shape(layout).key[-1]
-        self.done_ovr = [done for done, _, _, _ in hooks]
+        self.done_ovr = [hook[0] for hook in hooks]
         # A declared boolean done-attribute lets the guard read an attribute
         # instead of calling is_done() every cycle (see Process.done_attribute).
-        self.done_attr = [attr for _, attr, _, _ in hooks]
-        self.req_ovr = [req for _, _, req, _ in hooks]
+        self.done_attr = [hook[1] for hook in hooks]
+        self.req_ovr = [hook[2] for hook in hooks]
         # Steady-state snapshot plan (processes to sample, tag offsets, the
-        # per-FIFO pop counters a jump must advance; certified mode also
-        # keys queued token values and deep-verifies each candidate period).
+        # per-FIFO pop counters a jump must advance; certified mode compares
+        # exact checkpoints: summaries, queued token values and the verify
+        # states of the processes that override that hook).
         if self.steady:
             certification = certify_model(model)
             assert certification is not None, "steady codegen on an unsupported model"
             dynamic, self.ss_certified = certification
             self.ss_sig_procs = dynamic
+            self.ss_verify_procs = (
+                [p for p in dynamic if hooks[p][4]] if self.ss_certified else []
+            )
             # Processes whose internal state stores absolute firing tags
             # must shift it at the analytic jump (Process.schedule_jump);
             # the no-op base hook is folded away.
@@ -545,18 +567,24 @@ class _Generator:
             w.emit("_bound = max_cycles")
         if self.steady:
             # Steady-state detector state: 1 = searching, 2 = measuring one
-            # concrete period, 0 = off.
+            # concrete period (plain plans only), 0 = off.
             w.emit("_ss = 1")
             w.emit("_ss_seen = {}")
             w.emit("_ss_p = 0")
             w.emit("_ss_w = 0")
-            w.emit("_ss_end = -1")
             w.emit("_extrap = False")
+            if self.ss_certified:
+                # Checkpoint grid: a cycle is on it when ``cycles & _ss_m``
+                # is zero (spacing ``_ss_m + 1``, doubled by _ss_thin).
+                w.emit("_ss_m = 0")
+                w.emit("_ss_n = 0")
+                w.emit("_ss_lim = ss_window + 1")
+            else:
+                w.emit("_ss_end = -1")
             for p in self.ss_sig_procs:
                 w.emit(f"p{p}_ss = p{p}.schedule_state")
-            if self.ss_certified:
-                for p in self.ss_sig_procs:
-                    w.emit(f"p{p}_vs = p{p}.schedule_verify_state")
+            for p in self.ss_verify_procs:
+                w.emit(f"p{p}_vs = p{p}.schedule_verify_state")
             for p in self.ss_jump_procs:
                 w.emit(f"p{p}_sj = p{p}.schedule_jump")
         if self.stop_mode == STOP_PROCESS:
@@ -688,55 +716,42 @@ class _Generator:
 
     # -- steady-state detection ------------------------------------------------
     def _key_expr(self) -> str:
-        """The canonical snapshot key as one tuple expression.
+        """The snapshot key (plain) or checkpoint probe key (certified).
 
-        Plain mode: integers the loop already maintains (FIFO counters and
-        chain states — for one binding, a chain state is in one-to-one
-        correspondence with its per-station occupancies) plus the dynamic
-        ``schedule_state()`` samples.  Certified mode additionally keys the
-        queued token values of every FIFO and every chain (the generated
-        queues hold raw values, so each is one ``tuple()`` call).
+        Integers the loop already maintains: FIFO counters and chain states
+        (for one binding, a chain state is in one-to-one correspondence with
+        its per-station occupancies), WP2 tag offsets and done flags.  The
+        plain key adds the dynamic ``schedule_state()`` samples; the
+        certified probe key leaves them to the lazy checkpoint comparison.
         """
         parts = [f"n{q}" for q in range(self.n_fifos)]
         parts += [f"s{c}" for c in range(self.n_chans)]
         parts += [f"f{s} - f{d}" for s, d in self.ss_offsets]
-        parts += [f"p{p}_ss()" for p in self.ss_sig_procs]
+        if not self.ss_certified:
+            parts += [f"p{p}_ss()" for p in self.ss_sig_procs]
         parts += [self._done_expr(p) for p in self.ss_done_procs]
-        if self.ss_certified:
-            parts += [f"tuple(q{q})" for q in range(self.n_fifos)]
-            parts += [f"tuple(R{c})" for c in range(self.n_chans)]
-        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
-
-    def _verify_expr(self) -> str:
-        """Deep-verification tuple: exact state behind every summary."""
-        parts = [f"p{p}_vs()" for p in self.ss_sig_procs]
-        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+        return _tuple_expr(parts)
 
     def _steady_block(self) -> None:
         """Snapshot / measure / jump logic at the top of every cycle.
 
-        The snapshot is one tuple of integers already held in locals (plus
-        the handful of dynamic ``schedule_state()`` samples and, under a
-        certified plan, the queue-value tuples), so the searching phase
-        costs one tuple build and one dict probe per cycle and allocates
-        nothing else.  Certified plans store key *hashes* in the dictionary
-        (one int per searched cycle) and deep-verify each candidate period
-        before the jump; a failed verification resumes the search.
+        Plain plans key every searched cycle by one tuple of integers
+        already held in locals plus the handful of dynamic
+        ``schedule_state()`` samples, then measure one concrete period
+        before the jump.  Certified plans use :meth:`_checkpoint_block`.
         """
+        if self.ss_certified:
+            self._checkpoint_block()
+            return
         w = self.w
-        certified = self.ss_certified
-        key = self._key_expr()
-        fs = ", ".join(f"f{p}" for p in range(self.n_procs))
+        fs = _tuple_expr([f"f{p}" for p in range(self.n_procs)])
         w.emit("if _ss == 1:")
         with _Block(w):
-            w.emit(f"_sk = {key}")
-            if certified:
-                w.emit("_skh = hash(_sk)")
-            probe = "_skh" if certified else "_sk"
-            w.emit(f"_pv = _ss_seen.get({probe})")
+            w.emit(f"_sk = {self._key_expr()}")
+            w.emit("_pv = _ss_seen.get(_sk)")
             w.emit("if _pv is None:")
             with _Block(w):
-                w.emit(f"_ss_seen[{probe}] = cycles")
+                w.emit("_ss_seen[_sk] = cycles")
                 w.emit("if cycles >= ss_window:")
                 with _Block(w):
                     w.emit("_ss = 0")
@@ -748,40 +763,121 @@ class _Generator:
                 w.emit("_ss_p = cycles - _pv")
                 w.emit("_ss_end = cycles + _ss_p")
                 w.emit("_ss_seen = None")
-                if certified:
-                    w.emit("_ss_k0 = _sk")
-                    w.emit(f"_ss_v0 = {self._verify_expr()}")
-                w.emit(f"_ss_bf = ({fs}{',' if self.n_procs == 1 else ''})")
+                w.emit(f"_ss_bf = {fs}")
                 if self.ss_g_queues:
-                    gs = ", ".join(f"g{q}" for q in self.ss_g_queues)
-                    trail = "," if len(self.ss_g_queues) == 1 else ""
-                    w.emit(f"_ss_bg = ({gs}{trail})")
+                    w.emit(f"_ss_bg = {self._g_expr()}")
                 if self.stats:
-                    w.emit(
-                        "_ss_bs = ([*st_missing], [*st_blocked], [*st_done], "
-                        "[*st_disc], [dict(_x) for _x in st_dp], "
-                        "[dict(_x) for _x in st_mp])"
-                    )
+                    w.emit(f"_ss_bs = {_STATS_COPY}")
         w.emit("elif _ss == 2 and cycles == _ss_end:")
         with _Block(w):
-            if certified:
-                w.emit(f"_sk = {key}")
-                w.emit(f"if _sk != _ss_k0 or {self._verify_expr()} != _ss_v0:")
+            self._steady_jump()
+
+    def _g_expr(self) -> str:
+        return _tuple_expr([f"g{q}" for q in self.ss_g_queues])
+
+    def _checkpoint_block(self) -> None:
+        """Certified search: exact checkpoints probed by an integer key.
+
+        Every searched cycle builds the integer probe key and looks it up
+        in ``_ss_seen`` (key -> checkpoints filed under it).  On a hit the
+        exact state is compared lazily against each such checkpoint: one
+        process summary at a time in layout order, then the queued token
+        values, then the verify states, stopping at the first mismatch.
+        Equality at cycle ``t`` with checkpoint ``c`` proves the run
+        periodic from ``c`` with period ``t - c``, so the jump happens at
+        once with the per-period deltas taken from the checkpoint.  A cycle
+        that finds no recurrence becomes a checkpoint when it lies on the
+        grid; past :data:`~repro.engine.steady_state.CHECKPOINT_CAP` stored
+        checkpoints ``_ss_thin`` doubles the spacing (DESIGN.md §5).
+        """
+        w = self.w
+        sums = [f"_a{p}" for p in self.ss_sig_procs]
+        lazy = sums + ["_qv"]
+        queues = [f"tuple(q{q})" for q in range(self.n_fifos)]
+        queues += [f"tuple(R{c})" for c in range(self.n_chans)]
+        verify = _tuple_expr([f"p{p}_vs()" for p in self.ss_verify_procs])
+        # Checkpoint layout: cycle, summaries, queue values, [verify
+        # states], firing counters, [WP2 pop counters], [stall counters].
+        fields = ["cycles"] + sums + ["_qv"]
+        if self.ss_verify_procs:
+            fields.append(verify)
+        fir_at = len(fields)
+        fields.append(_tuple_expr([f"f{p}" for p in range(self.n_procs)]))
+        if self.ss_g_queues:
+            g_at = len(fields)
+            fields.append(self._g_expr())
+        if self.stats:
+            stats_at = len(fields)
+            fields.append(_STATS_COPY)
+
+        w.emit("if _ss:")
+        with _Block(w):
+            w.emit(f"_sk = {self._key_expr()}")
+            w.emit("_cl = _ss_seen.get(_sk)")
+            w.emit(f"{' = '.join(lazy)} = None")
+            w.emit("_hit = None")
+            w.emit("if _cl is not None:")
+            with _Block(w):
+                w.emit("for _ck in _cl:")
                 with _Block(w):
-                    # False candidate (hash collision or digest coincidence):
-                    # the exact state did not recur over the measured period.
-                    # Resume searching — a truly periodic run re-candidates
-                    # within one more period.
-                    w.emit("_ss = 1")
-                    w.emit("_ss_seen = {hash(_sk): cycles}")
-                    w.emit("_ss_p = 0")
-                    w.emit("_ss_w = 0")
-                    w.emit("_ss_end = -1")
-                w.emit("else:")
-                with _Block(w):
-                    self._steady_jump()
-            else:
+                    for index, p in enumerate(self.ss_sig_procs, start=1):
+                        w.emit(f"if _a{p} is None:")
+                        with _Block(w):
+                            w.emit(f"_a{p} = p{p}_ss()")
+                        w.emit(f"if _a{p} != _ck[{index}]:")
+                        with _Block(w):
+                            w.emit("continue")
+                    qv_at = len(self.ss_sig_procs) + 1
+                    w.emit("if _qv is None:")
+                    with _Block(w):
+                        w.emit(f"_qv = {_tuple_expr(queues)}")
+                    w.emit(f"if _qv != _ck[{qv_at}]:")
+                    with _Block(w):
+                        w.emit("continue")
+                    if self.ss_verify_procs:
+                        w.emit(f"if {verify} != _ck[{qv_at + 1}]:")
+                        with _Block(w):
+                            w.emit("continue")
+                    w.emit("_hit = _ck")
+                    w.emit("break")
+            w.emit("if _hit is not None:")
+            with _Block(w):
+                w.emit("_ss_w = _hit[0]")
+                w.emit("_ss_p = cycles - _ss_w")
+                w.emit(f"_ss_bf = _hit[{fir_at}]")
+                if self.ss_g_queues:
+                    w.emit(f"_ss_bg = _hit[{g_at}]")
+                if self.stats:
+                    w.emit(f"_ss_bs = _hit[{stats_at}]")
+                w.emit("_ss_seen = None")
                 self._steady_jump()
+            w.emit("else:")
+            with _Block(w):
+                w.emit("if not cycles & _ss_m:")
+                with _Block(w):
+                    for p in self.ss_sig_procs:
+                        w.emit(f"if _a{p} is None:")
+                        with _Block(w):
+                            w.emit(f"_a{p} = p{p}_ss()")
+                    w.emit("if _qv is None:")
+                    with _Block(w):
+                        w.emit(f"_qv = {_tuple_expr(queues)}")
+                    w.emit(f"_ck = {_tuple_expr(fields)}")
+                    w.emit("if _cl is None:")
+                    with _Block(w):
+                        w.emit("_ss_seen[_sk] = [_ck]")
+                    w.emit("else:")
+                    with _Block(w):
+                        w.emit("_cl.append(_ck)")
+                    w.emit("_ss_n += 1")
+                    w.emit("if _ss_n > _SS_CAP:")
+                    with _Block(w):
+                        w.emit("_ss_m, _ss_n = _ss_thin(_ss_seen, _ss_m)")
+                        w.emit("_ss_lim = ss_window + _ss_m + 1")
+                w.emit("if cycles >= _ss_lim:")
+                with _Block(w):
+                    w.emit("_ss = 0")
+                    w.emit("_ss_seen = None")
 
     def _steady_jump(self) -> None:
         """The analytic jump over every whole period the run may skip."""
@@ -1072,6 +1168,8 @@ def _base_namespace(shape: _Shape) -> dict:
         "_sample_chain": _sample_chain,
         "_ss_skip": periods_to_skip,
         "_ss_sj": stats_jump,
+        "_ss_thin": thin_checkpoints,
+        "_SS_CAP": CHECKPOINT_CAP,
     }
     in_ports, out_ports = shape.key[:2]
     for p, (ports, outputs) in enumerate(zip(in_ports, out_ports)):

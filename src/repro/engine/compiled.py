@@ -11,8 +11,9 @@ every fresh layout of an already-seen shape, pays the generation cost once.
 
 Steady-state period detection (see :mod:`repro.engine.steady_state`) is
 compiled straight into the generated loop whenever the run is eligible: the
-per-cycle snapshot is one tuple of integers the loop already maintains, and
-the analytic jump over the detected period's repetitions happens inside the
+per-cycle snapshot is one tuple of integers the loop already maintains
+(certified plans compare exact checkpoints only when it recurs), and the
+analytic jump over the detected period's repetitions happens inside the
 generated frame.
 
 Semantics are pinned to the reference kernel by the property suites in

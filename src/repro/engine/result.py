@@ -174,6 +174,9 @@ class LidResult:
     period: Optional[int] = None
     #: Cycle at which the recurring state was first seen (the transient before
     #: the periodic regime).  Only meaningful when :attr:`period` is set.
+    #: Exact except under the compiled kernel's certified search, which
+    #: reports the checkpoint the recurrence was found against: at most one
+    #: checkpoint spacing past the true transient (DESIGN.md §5).
     warmup_cycles: Optional[int] = None
     #: True when part of the run was skipped and reconstructed analytically
     #: from the detected period.  Extrapolated counts (cycles, firings, stall

@@ -23,13 +23,15 @@ This module holds everything the kernels share:
 
 Whether a run detects, and what it finds, depends only on that run's model,
 controls and instruments: every run searches ``steady_state_window`` cycles
-(default :data:`DEFAULT_DETECTION_WINDOW`), whatever ran before it.
+(default :data:`DEFAULT_DETECTION_WINDOW`; the certified checkpoint search
+one checkpoint spacing more), whatever ran before it.
 
 The hot-path work (building the snapshot key each cycle, the recurrence
 dictionary) lives inside each kernel — interpreted in
 :class:`~repro.engine.fast.FastKernel`, compiled into the generated loop by
-:mod:`repro.engine.codegen` — so detection costs stay within a few percent of
-the uninstrumented cycle loop.
+:mod:`repro.engine.codegen`.  The compiled kernel's certified search keeps
+exact checkpoints on a geometric grid; its cold-path thinning
+(:func:`thin_checkpoints`, bounded by :data:`CHECKPOINT_CAP`) lives here.
 """
 
 from __future__ import annotations
@@ -42,8 +44,12 @@ from .elaboration import ElaboratedModel
 from .instrumentation import InstrumentSet
 
 #: Default number of cycles the detector searches for a recurrence before
-#: disarming (bounds the snapshot dictionary).
+#: disarming (bounds the plain plan's snapshot dictionary).
 DEFAULT_DETECTION_WINDOW = 16_384
+
+#: Most exact checkpoints the compiled kernel's certified search keeps at
+#: once; past it :func:`thin_checkpoints` doubles the checkpoint spacing.
+CHECKPOINT_CAP = 64
 
 
 @dataclass
@@ -66,10 +72,13 @@ class DetectionPlan:
     and the ``schedule_state`` contract guarantees the sampled control state
     evolves independently of them.  Under the **certified** plan (every
     process declares :attr:`~repro.core.process.Process.schedule_complete`,
-    so control *is* data-dependent) the snapshot additionally keys the queued
-    token values of every storage element, and a candidate period is only
-    trusted after :attr:`verify_fns` confirms the exact state recurred at
-    both ends of the measured period (see DESIGN.md §5).
+    so control *is* data-dependent) a period is only trusted once the exact
+    state recurred: the summaries, the queued token values of every storage
+    element and the :attr:`verify_fns` states.  The compiled kernel compares
+    that state against exact checkpoints probed by the integer part of the
+    snapshot (calling only the verify hooks a process overrides); the fast
+    kernel hashes the full key and re-checks both ends of one measured
+    period (see DESIGN.md §5).
     """
 
     #: ``(proc_index, bound schedule_state)`` for every dynamic process.
@@ -80,11 +89,11 @@ class DetectionPlan:
     offset_pairs: List[Tuple[int, int]]
     #: Cycles to search for a recurrence before disarming.
     window: int
-    #: Certified (value-inclusive) mode: queued token values join the key and
-    #: every candidate period is deep-verified before extrapolating.
+    #: Certified (value-inclusive) mode: a period is only trusted once the
+    #: exact state, queued token values included, recurred.
     certified: bool = False
-    #: ``(proc_index, bound schedule_verify_state)`` for the per-candidate
-    #: deep verification (certified mode only).
+    #: ``(proc_index, bound schedule_verify_state)`` for the exact-state
+    #: comparison (certified mode only).
     verify_fns: List[Tuple[int, Callable]] = field(default_factory=list)
 
 
@@ -198,6 +207,34 @@ def detection_plan(
             else []
         ),
     )
+
+
+def thin_checkpoints(store: Dict, mask: int) -> Tuple[int, int]:
+    """Coarsen the certified search's checkpoint grid (cold path).
+
+    *store* maps probe keys to lists of checkpoints, each a tuple whose
+    first item is the cycle it was taken at; a cycle is on the grid of
+    spacing ``mask + 1`` (a power of two) when ``cycle & mask`` is zero.
+    The spacing doubles until at most :data:`CHECKPOINT_CAP` checkpoints
+    remain, and every checkpoint off the new grid is dropped (keys left
+    without one too).  Returns ``(new mask, checkpoints kept)``.
+
+    A kept checkpoint stays on every later grid, so it has been stored
+    since the cycle it was taken at: the first exact recurrence found
+    against the store is always one minimal period long (DESIGN.md §5).
+    """
+    count = CHECKPOINT_CAP + 1
+    while count > CHECKPOINT_CAP:
+        mask = 2 * mask + 1
+        count = 0
+        for key in list(store):
+            kept = [checkpoint for checkpoint in store[key] if not checkpoint[0] & mask]
+            if kept:
+                store[key] = kept
+                count += len(kept)
+            else:
+                del store[key]
+    return mask, count
 
 
 def periods_to_skip(

@@ -301,8 +301,8 @@ def _evaluate_rows_batched(
     # Both wrapper flavours share one scheduler (and one worker pool): WP1
     # and WP2 rows interleave in a single tagged batch.  One CPU loop
     # iteration spans thousands of cycles, so horizon rows let the detector
-    # search all the way to the horizon (certified-mode keys are hashed: one
-    # int of search memory per cycle).
+    # search all the way to the horizon (the certified search keeps at most
+    # CHECKPOINT_CAP checkpoints, whatever the window).
     evaluator = BatchEvaluator.wrappers(
         cpu.netlist, "table1", kernel=kernel, workers=workers,
         service=service, on_result=on_result,

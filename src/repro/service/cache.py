@@ -2,11 +2,16 @@
 
 Every kernel is a *deterministic* function: given one elaborated model (the
 netlist content, the relay-station binding, element capacities, the wrapper
-flavour) and one set of run controls, all three kernels produce bit-identical
+flavour) and one set of run controls, all kernels produce bit-identical
 :class:`~repro.engine.result.LidResult` counts — the equivalence property
 suite and the steady-state extrapolation contract (DESIGN.md §4-§5) pin
-exactly this.  A result can therefore be addressed by the *content* of its
-inputs and replayed for free on any later request with the same address:
+exactly this.  The one field that differs is certified-mode
+``warmup_cycles``: ``fast`` reports the exact pre-period, ``compiled`` the
+checkpoint its recurrence was found against, which may lie up to one
+checkpoint spacing later (DESIGN.md §5).  The kernel name is part of the
+key, so each kernel's entries stay its own.  A result can therefore be
+addressed by the *content* of its inputs and replayed for free on any later
+request with the same address:
 
 ``key = sha256(schema version,
               netlist content digest,          # sha256 of the pickled netlist
@@ -62,7 +67,10 @@ from ..engine.kernel import RunControls
 #: v3: a row's steady-state outcome depends only on its own model and
 #: controls; v2 entries could carry a period-less row whose detection window
 #: an earlier, unrelated row had shrunk, so they miss and are recomputed.
-CACHE_SCHEMA_VERSION = 3
+#: v4: the compiled kernel's certified search reports the checkpoint it
+#: found the recurrence against as ``warmup_cycles``; v3 entries carry the
+#: old detector's value, which a fresh run no longer produces.
+CACHE_SCHEMA_VERSION = 4
 
 
 def controls_signature(controls: RunControls) -> Optional[Tuple]:

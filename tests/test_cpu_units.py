@@ -423,3 +423,99 @@ class TestScheduleSummaries:
         assert dc.schedule_state()[0] != 0
         dc.reset()
         assert dc.schedule_state()[0] == 0 and dc.memory == [1, 2, 3]
+
+
+# Reference formulations of the three dynamic summaries, kept verbatim from
+# before the summaries were made cheaper: the fast versions must agree with
+# them at every instant of a real run.
+def _reference_cu_summary(cu):
+    tag = cu.firings
+    wait = cu.branch_wait
+    return (
+        cu.pc,
+        cu.halted,
+        tuple(cu.fetch_slots),
+        tuple(cu.ibuf),
+        None if wait is None else (wait.resolve_at - tag, wait.target),
+        tuple(
+            sorted(
+                (register, ready - tag)
+                for register, ready in cu.scoreboard.items()
+                if ready > tag
+            )
+        ),
+        0 if cu.pipelined else max(cu.busy_until - tag, 0),
+        cu.alu_command_register,
+    )
+
+
+def _reference_rf_summary(rf):
+    tag = rf.firings
+    return (
+        tuple(rf.registers),
+        tuple(
+            sorted(
+                (due - tag, register)
+                for due, register in rf.pending_alu_writeback.items()
+            )
+        ),
+        tuple(
+            sorted(
+                (due - tag, register)
+                for due, register in rf.pending_mem_writeback.items()
+            )
+        ),
+    )
+
+
+def _reference_dc_summary(dc):
+    tag = dc.firings
+    return (
+        dc._memory_digest,
+        tuple(sorted((due - tag, kind) for due, kind in dc.pending_access.items())),
+        tuple(
+            sorted(
+                (due - tag, access - tag)
+                for due, access in dc.pending_store_data.items()
+            )
+        ),
+        tuple(sorted((due - tag, value) for due, value in dc.store_values.items())),
+    )
+
+
+class TestSummariesMatchReferenceFormulations:
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["WP1", "WP2"])
+    @pytest.mark.parametrize("workload_kind", ["sort", "matmul"])
+    def test_every_cycle_of_a_looped_run(self, relaxed, workload_kind):
+        from repro.core import RSConfiguration, run_lid
+        from repro.cpu import build_pipelined_cpu
+        from repro.cpu.workloads import make_extraction_sort, make_matrix_multiply
+
+        if workload_kind == "sort":
+            workload = make_extraction_sort(length=4, seed=5, repeat=True)
+        else:
+            workload = make_matrix_multiply(size=2, seed=5, repeat=True)
+        cpu = build_pipelined_cpu(workload.program)
+        pairs = (
+            (cpu.control_unit, _reference_cu_summary),
+            (cpu.register_file, _reference_rf_summary),
+            (cpu.data_cache, _reference_dc_summary),
+        )
+        checked = []
+
+        def observe(cycle, fired):
+            for unit, reference in pairs:
+                assert unit.schedule_state() == reference(unit), (cycle, unit.name)
+            checked.append(cycle)
+
+        kwargs = dict(
+            configuration=RSConfiguration.uniform(1, exclude=("CU-IC",)),
+            relaxed=relaxed, record_trace=False, horizon=3_000,
+        )
+        observed = run_lid(cpu.netlist, on_cycle=observe, **kwargs)
+        assert len(checked) == 3_000
+        # Dropping expired scoreboard entries inside the summary is invisible
+        # to the run itself.
+        plain = run_lid(cpu.netlist, steady_state=False, **kwargs)
+        assert (observed.cycles, observed.firings) == (plain.cycles, plain.firings)
+        assert observed.shell_stats == plain.shell_stats

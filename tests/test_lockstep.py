@@ -2,7 +2,7 @@
 
 The heart of this module is the lane-equivalence property suite: every lane
 of one vectorised :func:`run_lockstep_batch` call must be bit-identical to a
-scalar :class:`FastKernel` run of the same configuration — cycles, firings,
+scalar :class:`CompiledKernel` run of the same configuration — cycles, firings,
 halt flags, stall statistics, occupancy maxima, and failure outcomes
 (deadlock / timeout) — across random same-layout relay-station and capacity
 vectors, both wrapper flavours and every stop mode.  The remaining tests pin
@@ -37,6 +37,7 @@ from repro.cpu import build_pipelined_cpu, make_extraction_sort
 from repro.engine import (
     BatchResult,
     BatchRunner,
+    CompiledKernel,
     Elaborator,
     FastKernel,
     InstrumentSet,
@@ -69,15 +70,15 @@ def _lane_outcome(kernel_factory, controls, instruments):
     return ("ok", result)
 
 
-def _assert_lanes_match_fast(elaborator, bindings, controls, instruments):
-    """Every lockstep lane equals the scalar FastKernel run bit for bit."""
+def _assert_lanes_match_compiled(elaborator, bindings, controls, instruments):
+    """Every lockstep lane equals the scalar CompiledKernel run bit for bit."""
     models = [elaborator.bind(**binding) for binding in bindings]
     assert lockstep_reason(models[0], controls, instruments) is None
     lanes = run_lockstep_batch(models, controls, instruments)
     assert len(lanes) == len(models)
     for binding, lane in zip(bindings, lanes):
         kind, payload = _lane_outcome(
-            lambda: FastKernel(elaborator.bind(**binding)), controls, instruments
+            lambda: CompiledKernel(elaborator.bind(**binding)), controls, instruments
         )
         if isinstance(lane, DeadlockError):
             assert kind == "deadlock" and str(lane) == payload
@@ -85,14 +86,14 @@ def _assert_lanes_match_fast(elaborator, bindings, controls, instruments):
             assert kind == "timeout" and str(lane) == payload
         else:
             assert kind == "ok"
-            fast = payload
-            assert lane.cycles == fast.cycles
-            assert lane.firings == fast.firings
-            assert lane.halted == fast.halted
-            assert lane.wrapper_kind == fast.wrapper_kind
-            assert lane.rs_counts == fast.rs_counts
-            assert lane.shell_stats == fast.shell_stats
-            assert lane.max_queue_occupancy == fast.max_queue_occupancy
+            scalar = payload
+            assert lane.cycles == scalar.cycles
+            assert lane.firings == scalar.firings
+            assert lane.halted == scalar.halted
+            assert lane.wrapper_kind == scalar.wrapper_kind
+            assert lane.rs_counts == scalar.rs_counts
+            assert lane.shell_stats == scalar.shell_stats
+            assert lane.max_queue_occupancy == scalar.max_queue_occupancy
             assert all(lane.trace[name].cycles == 0 for name in lane.trace)
 
 
@@ -178,9 +179,9 @@ class TestLaneEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_random_lanes(self, case):
-        """Random RS/capacity vectors: all lanes bit-identical to FastKernel."""
+        """Random RS/capacity vectors: all lanes bit-identical to CompiledKernel."""
         netlist, bindings, controls = case
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings, controls, LANE_INSTRUMENTS
         )
 
@@ -206,7 +207,7 @@ class TestLaneEquivalence:
             }
             for i in range(8)
         ]
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings, controls, LANE_INSTRUMENTS
         )
 
@@ -220,7 +221,7 @@ class TestLaneEquivalence:
         )
         controls = RunControls(extra_cycles=2, max_cycles=1_000)
         bindings = [{"rs_counts": {"c": rs}} for rs in range(4)]
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings, controls, LANE_INSTRUMENTS
         )
 
@@ -238,17 +239,17 @@ class TestLaneEquivalence:
         controls = RunControls(
             target_firings={"src": 50}, max_cycles=2_000, deadlock_limit=40
         )
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             elaborator, [{"rs_counts": {"c": 1}}], controls, LANE_INSTRUMENTS
         )
 
-    def test_timeout_lane_matches_fast(self):
+    def test_timeout_lane_matches_compiled(self):
         netlist, _default = ring_netlist(3)
         controls = RunControls(
             target_firings={"stage0": 10_000}, max_cycles=50,
             deadlock_limit=1_000,
         )
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), [{"rs_counts": {}}], controls, LANE_INSTRUMENTS
         )
 
@@ -260,7 +261,7 @@ class TestLaneEquivalence:
             {"rs_counts": {c: (i * 7 + j) % 4 for j, c in enumerate(chans)}}
             for i in range(16)
         ]
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings,
             RunControls(horizon=300, steady_state=False),
             InstrumentSet.none(),
@@ -368,11 +369,11 @@ class TestEligibility:
             elaborator.bind(relaxed=False), controls, InstrumentSet.none()
         ) is None
 
-    def test_ineligible_run_delegates_to_fast(self):
-        """LockstepKernel serves ineligible runs through FastKernel."""
+    def test_ineligible_run_delegates_to_compiled(self):
+        """LockstepKernel serves ineligible runs through CompiledKernel."""
         model = Elaborator(_loop_netlist(_DataDependentDone("d"))).bind()
         controls = RunControls(max_cycles=5_000)
-        expected = FastKernel(model).run(controls, InstrumentSet.all())
+        expected = CompiledKernel(model).run(controls, InstrumentSet.all())
         result = LockstepKernel(model).run(controls, InstrumentSet.all())
         assert result.cycles == expected.cycles
         assert result.firings == expected.firings
@@ -391,13 +392,13 @@ class TestEligibility:
             stop_process=machine.control_unit.name, max_cycles=200_000
         )
         configs = [RSConfiguration.uniform(0), RSConfiguration.uniform(1)]
-        fast = BatchRunner(machine.netlist, kernel="fast").run_many(
+        scalar = BatchRunner(machine.netlist, kernel="compiled").run_many(
             configs, **controls
         )
         lock = BatchRunner(machine.netlist, kernel="lockstep").run_many(
             configs, **controls
         )
-        assert fast == lock
+        assert scalar == lock
 
     def test_single_run_via_make_kernel(self):
         netlist, rs_counts = ring_netlist(4, rs_total=3)

@@ -51,7 +51,11 @@ from repro.engine.codegen import (
     generate_run_source,
 )
 from repro.engine.kernel import RunControls
-from repro.engine.steady_state import periods_to_skip
+from repro.engine.steady_state import (
+    CHECKPOINT_CAP,
+    periods_to_skip,
+    thin_checkpoints,
+)
 
 DETECTING_KERNELS = ("fast", "compiled")
 
@@ -417,6 +421,145 @@ class TestLoopedCpuExtrapolation:
                 cpu.netlist, steady_state=True, kernel=kernel, **kwargs
             )
             _assert_matches_full(full, got)
+
+
+def _grid_spacing(cycles: int) -> int:
+    """Checkpoint spacing of the certified search when it probes *cycles*.
+
+    Replays the compiled search's grid over cycles ``0 .. cycles - 1``
+    without a recurrence: every on-grid cycle becomes a checkpoint and the
+    store is thinned past :data:`CHECKPOINT_CAP`.
+    """
+    store, mask, count = {}, 0, 0
+    for cycle in range(cycles):
+        if not cycle & mask:
+            store.setdefault(cycle % 3, []).append((cycle,))
+            count += 1
+            if count > CHECKPOINT_CAP:
+                mask, count = thin_checkpoints(store, mask)
+    return mask + 1
+
+
+class TestCertifiedCheckpoints:
+    """The compiled kernel's certified search: exact checkpoints, no hashes."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_compiled_matches_full_simulation_and_fast(self, data):
+        from repro.cpu.workloads import make_matrix_multiply
+
+        if data.draw(st.booleans(), label="use_sort"):
+            workload = make_extraction_sort(
+                length=data.draw(st.integers(3, 5), label="length"),
+                seed=data.draw(st.integers(0, 99), label="seed"),
+                repeat=True,
+            )
+        else:
+            workload = make_matrix_multiply(
+                size=2, seed=data.draw(st.integers(0, 99), label="seed"),
+                repeat=True,
+            )
+        cpu = build_pipelined_cpu(workload.program)
+        links = [name for name in cpu.netlist.link_names() if name != "CU-IC"]
+        config = RSConfiguration.from_mapping(
+            {link: data.draw(st.integers(0, 2), label=link) for link in links},
+            label="candidate",
+        )
+        kwargs = dict(
+            configuration=config,
+            relaxed=data.draw(st.booleans(), label="relaxed"),
+            queue_capacity=data.draw(st.integers(2, 6), label="capacity"),
+            record_trace=False,
+            max_cycles=120_000,
+            steady_state_window=15_000,
+        )
+        if data.draw(st.booleans(), label="horizon_stop"):
+            kwargs["horizon"] = 15_000
+        else:
+            kwargs["target_firings"] = {"CU": 6_000}
+        full = run_lid(cpu.netlist, steady_state=False, kernel="compiled", **kwargs)
+        full_memory = list(cpu.data_cache.memory)
+        fast = run_lid(cpu.netlist, kernel="fast", **kwargs)
+        got = run_lid(cpu.netlist, kernel="compiled", **kwargs)
+        _assert_matches_full(full, got)
+        assert list(cpu.data_cache.memory) == full_memory
+        assert got.period == fast.period
+        if fast.extrapolated:
+            assert got.extrapolated
+        if got.period is not None:
+            spacing = _grid_spacing(got.warmup_cycles + got.period)
+            assert fast.warmup_cycles <= got.warmup_cycles
+            assert got.warmup_cycles < fast.warmup_cycles + spacing
+
+    def test_window_edge_still_extrapolates(self):
+        """A window ending where fast first sees the recurrence suffices."""
+        workload = make_extraction_sort(length=5, seed=3, repeat=True)
+        cpu = build_pipelined_cpu(workload.program)
+        kwargs = dict(
+            configuration=RSConfiguration.uniform(1, exclude=("CU-IC",)),
+            relaxed=True, record_trace=False, horizon=30_000,
+        )
+        fast = run_lid(cpu.netlist, kernel="fast", **kwargs)
+        assert fast.extrapolated
+        window = fast.warmup_cycles + fast.period
+        got = run_lid(
+            cpu.netlist, kernel="compiled", steady_state_window=window, **kwargs
+        )
+        assert got.extrapolated and got.period == fast.period
+        full = run_lid(cpu.netlist, kernel="compiled", steady_state=False, **kwargs)
+        _assert_matches_full(full, got)
+
+    def test_thinning_keeps_a_bounded_complete_grid(self):
+        """Over a 300k-cycle feed the store stays within the cap, on the grid."""
+        store, mask, count = {}, 0, 0
+        for cycle in range(300_000):
+            if cycle & mask:
+                continue
+            store.setdefault(cycle % 5, []).append((cycle,))
+            count += 1
+            if count > CHECKPOINT_CAP:
+                mask, count = thin_checkpoints(store, mask)
+                kept = sorted(
+                    c for checkpoints in store.values() for (c,) in checkpoints
+                )
+                assert count == len(kept) <= CHECKPOINT_CAP
+                assert all(checkpoints for checkpoints in store.values())
+                # Exactly the multiples of the new spacing seen so far.
+                assert kept == list(range(0, cycle + 1, mask + 1))
+        assert mask + 1 == _grid_spacing(300_000)
+        assert count <= CHECKPOINT_CAP
+
+    def test_bfs_horizon_row_keeps_an_exact_warmup(self):
+        """A recurrence within the first cap cycles is found exactly."""
+        from repro.workloads.graph import make_bfs_workload
+
+        edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3), (2, 6)]
+        results = {}
+        for kernel in DETECTING_KERNELS:
+            workload = make_bfs_workload(edges, root=0, n_pe=2)
+            results[kernel] = run_lid(
+                workload.netlist, rs_counts=workload.rs_counts, kernel=kernel,
+                record_trace=False, horizon=50_000,
+            )
+        fast, got = results["fast"], results["compiled"]
+        assert got.extrapolated and got.period == fast.period
+        assert got.warmup_cycles + got.period <= CHECKPOINT_CAP
+        assert got.warmup_cycles == fast.warmup_cycles
+
+    def test_certified_source_has_no_snapshot_hash(self):
+        cpu = build_pipelined_cpu(
+            make_extraction_sort(length=4, seed=1, repeat=True).program
+        )
+        model = elaborate(cpu.netlist, relaxed=True)
+        source = generate_run_source(
+            model, InstrumentSet.none(), STOP_ANY_DONE, steady=True, horizon=True
+        )
+        assert "_ss_thin(" in source
+        assert "hash(" not in source and "_ss == 2" not in source
 
 
 class TestLoopedWorkloads:
