@@ -5,19 +5,127 @@ driver of a channel during cycle ``t`` is consumed by the destination during
 cycle ``t + 1``; at reset the channel holds its declared initial value.  The
 golden run provides (a) the reference cycle count used to normalise the
 throughput of the wire-pipelined systems (the paper's "the throughput without
-WP is of course 1.0"), and (b) the reference τ-filtered traces for the
-N-equivalence checks.
+WP is of course 1.0"), (b) the reference τ-filtered traces for the
+N-equivalence checks, and (c) the :class:`FiringTrace` of every process'
+oracle answers and done flags by firing index, from which done-stop rows are
+timed without firing the processes again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from .exceptions import SimulationError
 from .netlist import Netlist
+from .process import overrides_hook
 from .tokens import Token
 from .traces import SystemTrace
+
+
+@dataclass(frozen=True)
+class FiringTrace:
+    """Every process' control answers by firing index, from one golden run.
+
+    Firing *k* of a shell-wrapped process consumes the *k*-th valid token of
+    every input whatever the relay stations (:mod:`repro.core.process`), so
+    the process' state after *k* firings, and with it its WP2 oracle answer
+    and its done flag, is the same under every relay-station vector and
+    both wrappers.  Only the timing differs.  The compiled kernel's replay
+    layout (:mod:`repro.engine.codegen`) therefore times a done-stop row
+    from this trace alone, without calling ``fire``.
+
+    Oracle answers are interned as bitmasks over the process' input ports
+    (bit *i* set: ``input_ports[i]`` is required; ``None`` answers are every
+    bit), validated against the ports when recorded.
+    """
+
+    #: Process names, in netlist order (a layout replays only its own trace).
+    process_names: Tuple[str, ...]
+    #: Firings every process made in the golden run (one per cycle).
+    firings: int
+    #: Per process: the oracle answer before firing ``k`` at index ``k``,
+    #: for ``k`` in ``0..firings`` (the last one after the final firing), or
+    #: None when the process does not override ``required_ports``.
+    oracle: Tuple[Optional[Union[bytes, Tuple[int, ...]]], ...]
+    #: Per process: the firing count at which ``is_done()`` first held, or
+    #: None when it did not hold within the trace (or is never overridden).
+    done_at: Tuple[Optional[int], ...]
+
+
+class _FiringRecorder:
+    """Collects a :class:`FiringTrace` while the golden loop runs.
+
+    The trace is dropped (:meth:`result` returns None) when an oracle names
+    a port the process does not have, or a done flag turns false again:
+    rows then simulate in full, which reports the first and tolerates the
+    second exactly as before.
+    """
+
+    def __init__(self, netlist: Netlist) -> None:
+        processes = list(netlist.processes.values())
+        self.names = tuple(netlist.processes)
+        self.valid = True
+        #: Per process index: (process, {answer: mask}, answers) for the
+        #: processes with an oracle, None for the others.
+        self.oracles: List[Optional[Tuple[Any, Dict, List[int]]]] = [
+            (process, {None: (1 << len(process.input_ports)) - 1}, [])
+            if overrides_hook(process, "required_ports")
+            else None
+            for process in processes
+        ]
+        self.done_procs = [
+            (index, process)
+            for index, process in enumerate(processes)
+            if overrides_hook(process, "is_done")
+        ]
+        self.done_at: List[Optional[int]] = [None] * len(processes)
+        self.observe_done(0)
+
+    def answer(self, index: int) -> None:
+        """Record the oracle answer of process *index* before its next firing."""
+        process, masks, answers = self.oracles[index]
+        answer = process.required_ports()
+        if answer is not None and answer.__class__ is not frozenset:
+            answer = frozenset(answer)
+        mask = masks.get(answer)
+        if mask is None:
+            ports = process.input_ports
+            if not answer <= set(ports):
+                self.valid = False
+            mask = masks[answer] = sum(
+                1 << i for i, port in enumerate(ports) if port in answer
+            )
+        answers.append(mask)
+
+    def observe_done(self, firings: int) -> None:
+        """Record the done flags after every process fired *firings* times."""
+        done_at = self.done_at
+        for index, process in self.done_procs:
+            if process.is_done():
+                if done_at[index] is None:
+                    done_at[index] = firings
+            elif done_at[index] is not None:
+                self.valid = False  # the flag turned false again
+
+    def result(self, firings: int) -> Optional[FiringTrace]:
+        oracle: List[Optional[Union[bytes, Tuple[int, ...]]]] = []
+        for index, entry in enumerate(self.oracles):
+            if entry is None:
+                oracle.append(None)
+                continue
+            self.answer(index)  # the answer after the last firing
+            process, _, answers = entry
+            narrow = len(process.input_ports) <= 8
+            oracle.append(bytes(answers) if narrow else tuple(answers))
+        if not self.valid:
+            return None
+        return FiringTrace(
+            process_names=self.names,
+            firings=firings,
+            oracle=tuple(oracle),
+            done_at=tuple(self.done_at),
+        )
 
 
 @dataclass
@@ -29,6 +137,8 @@ class GoldenResult:
     trace: SystemTrace
     halted: bool
     final_values: Dict[str, Any] = field(default_factory=dict)
+    #: The run's :class:`FiringTrace`, or None when it could not be recorded.
+    firing_trace: Optional[FiringTrace] = None
 
     @property
     def throughput(self) -> float:
@@ -82,13 +192,19 @@ class GoldenSimulator:
             name: netlist.output_channels(name) for name in netlist.processes
         }
 
+        # Oracle answers and done flags by firing index (FiringTrace).
+        recorder = _FiringRecorder(netlist)
+        oracles = recorder.oracles
+
         cycles = 0
         halted = False
         drain_remaining: Optional[int] = None
         while cycles < max_cycles:
             # Gather inputs for every process from the channel registers.
             next_values: Dict[str, Any] = {}
-            for name, process in netlist.processes.items():
+            for index, (name, process) in enumerate(netlist.processes.items()):
+                if oracles[index] is not None:
+                    recorder.answer(index)
                 inputs = {
                     port: channel_values[chan.name]
                     for port, chan in input_map[name].items()
@@ -106,6 +222,7 @@ class GoldenSimulator:
             for chan_name, value in next_values.items():
                 channel_values[chan_name] = value
             cycles += 1
+            recorder.observe_done(cycles)
 
             if drain_remaining is None:
                 done = self._stop_condition(stop_process)
@@ -124,6 +241,7 @@ class GoldenSimulator:
             trace=trace,
             halted=halted,
             final_values=dict(channel_values),
+            firing_trace=recorder.result(cycles),
         )
 
     def _stop_condition(self, stop_process: Optional[str]) -> bool:

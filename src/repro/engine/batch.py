@@ -47,7 +47,7 @@ import multiprocessing
 import pickle
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -112,6 +112,11 @@ class BatchResult:
     #: (1 = first try succeeded; quarantined items report their full retry
     #: history).  Serial evaluation always reports 1.
     attempts: int = 1
+    #: Provenance copied from :class:`~repro.engine.result.LidResult`
+    #: (kernel that ran, replay fallback reason); outside equality and the
+    #: canonical form, so cached and fresh rows still compare equal.
+    kernel: Optional[str] = field(default=None, compare=False)
+    fallback: Optional[str] = field(default=None, compare=False)
 
     @property
     def failed(self) -> bool:
@@ -139,6 +144,8 @@ class BatchResult:
             period=result.period,
             warmup_cycles=result.warmup_cycles,
             extrapolated=result.extrapolated,
+            kernel=result.kernel,
+            fallback=result.fallback,
         )
 
     # -- canonical serialization -------------------------------------------

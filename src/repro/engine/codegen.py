@@ -57,7 +57,17 @@ netlist shape, and every fresh layout of an already-seen shape (DESIGN.md
   one period; a certified plan probes exact checkpoints with the integer
   key and compares summaries, queue values and verify states only on a hit
   (DESIGN.md §5).  The generated jump block then advances cycles, firing
-  counters, ``g`` counters and stall statistics analytically.
+  counters, ``g`` counters and stall statistics analytically;
+* the **replay layout** (the ``replay`` shape flag, DESIGN.md §3) is the
+  same loop with every process and value removed: no ``fire`` call, no
+  ``q``/``R`` deques, no ``reset()``.  A firing only moves the ``n``/``g``
+  counters and launches into the chain states; the oracle answer is
+  ``O7[f7]``, a bitmask read by firing index from a golden run's
+  :class:`~repro.core.golden.FiringTrace` (:func:`replay_binding`), and the
+  done guard and stop test compare the firing counter with the trace's
+  done index.  Any question the trace cannot answer raises
+  ``IndexError`` (:class:`TraceExhausted`), and the kernel runs the row
+  again in full.
 
 The generated function is an entire run loop (not a per-cycle callable): the
 stop condition, drain window and deadlock detection are cheap per-cycle
@@ -86,7 +96,7 @@ import os
 import threading
 from collections import OrderedDict, defaultdict, deque
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..core.exceptions import (
     DeadlockError,
@@ -367,20 +377,25 @@ def model_signature(
     stop_mode: int = STOP_PROCESS,
     steady: bool = False,
     horizon: bool = False,
+    certification: Optional[Tuple[List[int], bool]] = None,
+    replay: bool = False,
 ) -> Tuple:
     """The code-cache key of one bound model + instrument selection.
 
     Two runs share compiled code iff their layouts have the same
     :func:`layout_shape` and they agree on the wrapper flavour, the
-    instrument flags, the stop-condition mode, the horizon specialization
-    and — when the steady-state detector is compiled in — the detector's
-    plan (which processes are sampled, plain or certified).  Relay
-    stations, capacities, initial token values, labels, stop targets,
-    horizon and window values are runtime data.
+    instrument flags, the stop-condition mode, the horizon specialization,
+    the replay layout and — when the steady-state detector is compiled in —
+    the detector's plan (which processes are sampled, plain or certified;
+    *certification* is the model's :func:`certify_model` answer when the
+    caller already has it).  Relay stations, capacities, initial token
+    values, labels, stop targets, horizon and window values and the replayed
+    trace are runtime data.
     """
     steady_key = False
     if steady and not instruments.trace:
-        certification = certify_model(model)
+        if certification is None:
+            certification = certify_model(model)
         if certification is not None:
             steady_key = (tuple(certification[0]), certification[1])
     return (
@@ -392,6 +407,7 @@ def model_signature(
         stop_mode,
         steady_key,
         horizon,
+        replay,
     )
 
 
@@ -433,6 +449,11 @@ class _Generator:
 
     Only the layout's structure and the model's wrapper flavour are read;
     the relay stations and capacities of *model* never reach the source.
+
+    With *replay* it builds the replay layout instead: the same loop over
+    occupancy counters and chain states, with no process object touched
+    (no ``fire``, no value queues) and the oracle answers and done flags
+    read by firing index from the replayed trace (:func:`replay_binding`).
     """
 
     def __init__(
@@ -442,6 +463,8 @@ class _Generator:
         stop_mode: int = STOP_PROCESS,
         steady: bool = False,
         horizon: bool = False,
+        certification: Optional[Tuple[List[int], bool]] = None,
+        replay: bool = False,
     ) -> None:
         layout = model.layout
         self.layout = layout
@@ -452,6 +475,10 @@ class _Generator:
         self.occ = instruments.occupancy
         self.horizon = horizon
         self.steady = steady and not instruments.trace
+        self.replay = replay
+        assert not (replay and (self.tracing or self.steady)), (
+            "the replay layout carries no token values and no process state"
+        )
         self.n_procs = len(layout.processes)
         self.n_chans = len(layout.chan_names)
         self.n_fifos = layout.n_shell_queues
@@ -469,7 +496,8 @@ class _Generator:
         # exact checkpoints: summaries, queued token values and the verify
         # states of the processes that override that hook).
         if self.steady:
-            certification = certify_model(model)
+            if certification is None:
+                certification = certify_model(model)
             assert certification is not None, "steady codegen on an unsupported model"
             dynamic, self.ss_certified = certification
             self.ss_sig_procs = dynamic
@@ -492,40 +520,67 @@ class _Generator:
 
     # -- expression helpers -----------------------------------------------------
     def _done_expr(self, p: int) -> str:
+        if self.replay:
+            return f"f{p} >= D{p}"
         attr = self.done_attr[p]
         return f"p{p}.{attr}" if attr else f"p{p}_done()"
+
+    def _check_known(self, p: int) -> None:
+        """Replay only: leave the row when *p*'s done flag is past the trace.
+
+        Emitted where the done expression just held.  ``D{p}`` of a flag the
+        trace never saw hold is one past the trace's firings, so reaching it
+        means the trace cannot answer.
+        """
+        if self.replay:
+            self.w.emit(f"if not K{p}:")
+            with _Block(self.w):
+                self.w.emit("_miss()")
 
     def generate(self) -> str:
         w = self.w
         layout = self.layout
         w.emit(
             f"def {ENTRY_POINT}(procs, fir, label, max_cycles, deadlock_limit, "
-            "extra_cycles, stop_mode, stop_arg, horizon, ss_window, binding):"
+            "extra_cycles, stop_mode, stop_arg, horizon, ss_window, binding, "
+            "replay=None):"
         )
         w.push()
 
         # -- prologue: hoist process methods, bind runtime data ---------------
         w.emit("_caps, _tabs, _push, _init, _stations, _n_elems, _layout = binding")
-        for p in range(self.n_procs):
-            w.emit(f"p{p} = procs[{p}]")
-            w.emit(f"p{p}_fire = p{p}.fire")
-            if self.done_ovr[p] and not self.done_attr[p]:
-                w.emit(f"p{p}_done = p{p}.is_done")
-            if self.relaxed and self.req_ovr[p]:
-                w.emit(f"p{p}_req = p{p}.required_ports")
-        w.emit("for _proc in procs:")
-        with _Block(w):
-            w.emit("_proc.reset()")
+        if self.replay:
+            # No process object is touched: the trace answers for them.
+            w.emit("_oracles, _done, _known = replay")
+            for p in range(self.n_procs):
+                if self.relaxed and self.req_ovr[p]:
+                    w.emit(f"O{p} = _oracles[{p}]")
+                if self.done_ovr[p]:
+                    w.emit(f"D{p} = _done[{p}]")
+                    w.emit(f"K{p} = _known[{p}]")
+        else:
+            for p in range(self.n_procs):
+                w.emit(f"p{p} = procs[{p}]")
+                w.emit(f"p{p}_fire = p{p}.fire")
+                if self.done_ovr[p] and not self.done_attr[p]:
+                    w.emit(f"p{p}_done = p{p}.is_done")
+                if self.relaxed and self.req_ovr[p]:
+                    w.emit(f"p{p}_req = p{p}.required_ports")
+            w.emit("for _proc in procs:")
+            with _Block(w):
+                w.emit("_proc.reset()")
         for q in range(self.n_fifos):
-            w.emit(f"q{q} = deque()")
-            w.emit(f"q{q}_pop = q{q}.popleft")
-            w.emit(f"q{q}_ap = q{q}.append")
+            if not self.replay:
+                w.emit(f"q{q} = deque()")
+                w.emit(f"q{q}_pop = q{q}.popleft")
+                w.emit(f"q{q}_ap = q{q}.append")
             w.emit(f"n{q} = 0")
             w.emit(f"c{q} = _caps[{q}]")
         for c in range(self.n_chans):
-            w.emit(f"R{c} = deque()")
-            w.emit(f"R{c}_ap = R{c}.append")
-            w.emit(f"R{c}_pop = R{c}.popleft")
+            if not self.replay:
+                w.emit(f"R{c} = deque()")
+                w.emit(f"R{c}_ap = R{c}.append")
+                w.emit(f"R{c}_pop = R{c}.popleft")
             w.emit(f"s{c} = 0")
             w.emit(f"T{c} = _tabs[{c}]")
             w.emit(f"P{c} = _push[{c}]")
@@ -544,7 +599,8 @@ class _Generator:
             w.emit("mo = [0] * _n_elems")
         for c in range(self.n_chans):
             qid = self.chan_dest[c]
-            w.emit(f"q{qid}_ap(_init[{c}])")
+            if not self.replay:
+                w.emit(f"q{qid}_ap(_init[{c}])")
             w.emit(f"n{qid} = 1")
             if self.occ:
                 w.emit(f"mo[{qid}] = 1")
@@ -588,7 +644,11 @@ class _Generator:
             for p in self.ss_jump_procs:
                 w.emit(f"p{p}_sj = p{p}.schedule_jump")
         if self.stop_mode == STOP_PROCESS:
-            w.emit("_stop_done = procs[stop_arg].is_done")
+            if self.replay:
+                w.emit("_stop_at = _done[stop_arg]")
+                w.emit("_stop_known = _known[stop_arg]")
+            else:
+                w.emit("_stop_done = procs[stop_arg].is_done")
 
         # -- main loop --------------------------------------------------------
         w.emit("while cycles < _bound:")
@@ -615,7 +675,8 @@ class _Generator:
             d = self.chan_dest[c]
             w.emit(f"if x{c} & 2:")
             with _Block(w):
-                w.emit(f"q{d}_ap(R{c}_pop())")
+                if not self.replay:
+                    w.emit(f"q{d}_ap(R{c}_pop())")
                 w.emit(f"n{d} += 1")
             w.emit(f"s{c} += x{c} >> 2")
         if self.occ:
@@ -654,6 +715,8 @@ class _Generator:
                     with _Block(w):
                         w.emit("_stop = False")
                         w.emit("break")
+            elif self.stop_mode == STOP_PROCESS and self.replay:
+                self._replay_stop_test()
             elif self.stop_mode == STOP_PROCESS:
                 w.emit("_stop = _stop_done()")
             else:
@@ -665,6 +728,12 @@ class _Generator:
                 w.emit(f"_stop = {' or '.join(candidates) if candidates else 'False'}")
             w.emit("if _stop:")
             with _Block(w):
+                if self.replay and self.stop_mode == STOP_ANY_DONE:
+                    for p in range(self.n_procs):
+                        if self.done_ovr[p]:
+                            w.emit(f"if {self._done_expr(p)}:")
+                            with _Block(w):
+                                self._check_known(p)
                 w.emit("halted = True")
                 w.emit("drain = extra_cycles")
                 if self.steady:
@@ -713,6 +782,29 @@ class _Generator:
         )
         w.pop()
         return w.source()
+
+    def _replay_stop_test(self) -> None:
+        """The designated process' done test, read from the trace.
+
+        The stop process is runtime data, so one branch per process that
+        can report done picks its firing counter; any other stop process
+        never reports done.
+        """
+        w = self.w
+        branches = [p for p in range(self.n_procs) if self.done_ovr[p]]
+        for index, p in enumerate(branches):
+            w.emit(f"{'if' if index == 0 else 'elif'} stop_arg == {p}:")
+            with _Block(w):
+                w.emit(f"_stop = f{p} >= _stop_at")
+        if branches:
+            w.emit("else:")
+            w.push()
+        w.emit("_stop = False")
+        if branches:
+            w.pop()
+        w.emit("if _stop and not _stop_known:")
+        with _Block(w):
+            w.emit("_miss()")
 
     # -- steady-state detection ------------------------------------------------
     def _key_expr(self) -> str:
@@ -933,6 +1025,7 @@ class _Generator:
         if self.relaxed:
             w.emit(f"if {self._done_expr(p)}:")
             with _Block(w):
+                self._check_known(p)
                 # Stale tokens still arrive after completion; keep discarding
                 # them exactly like the reference wrapper.  An all-required
                 # shell consumed every tag it ever fired on, so nothing stale
@@ -941,31 +1034,43 @@ class _Generator:
                 if scan:
                     w.emit(f"_t = f{p}")
                     for port, qid in zip(ports, qids):
-                        w.emit(f"while q{qid} and g{qid} < _t:")
-                        with _Block(w):
-                            w.emit(f"q{qid}_pop()")
-                            w.emit(f"g{qid} += 1")
-                            w.emit(f"n{qid} -= 1")
-                            if self.stats:
-                                w.emit(f"st_disc[{p}] += 1")
-                                w.emit(f"st_dp[{p}][{port!r}] += 1")
+                        self._discard_stale(p, port, qid)
                 if self.stats:
                     w.emit(f"st_done[{p}] += 1")
-                elif not scan:
+                elif not scan and not self.replay:
                     w.emit("pass")
             w.emit("else:")
             with _Block(w):
                 self._shell_body(p)
-        else:
-            if self.stats:
-                w.emit(f"if {self._done_expr(p)}:")
-                with _Block(w):
-                    w.emit(f"st_done[{p}] += 1")
-                w.emit("else:")
-            else:
-                w.emit(f"if not {self._done_expr(p)}:")
+        elif self.stats:
+            w.emit(f"if {self._done_expr(p)}:")
+            with _Block(w):
+                self._check_known(p)
+                w.emit(f"st_done[{p}] += 1")
+            w.emit("else:")
             with _Block(w):
                 self._shell_body(p)
+        else:
+            w.emit(f"if not {self._done_expr(p)}:")
+            with _Block(w):
+                self._shell_body(p)
+            if self.replay:
+                w.emit("else:")
+                with _Block(w):
+                    self._check_known(p)
+
+    def _discard_stale(self, p: int, port: str, qid: int) -> None:
+        """Drop the tokens of FIFO *qid* older than the current tag ``_t``."""
+        w = self.w
+        w.emit(f"while n{qid} and g{qid} < _t:")
+        with _Block(w):
+            if not self.replay:
+                w.emit(f"q{qid}_pop()")
+            w.emit(f"g{qid} += 1")
+            w.emit(f"n{qid} -= 1")
+            if self.stats:
+                w.emit(f"st_disc[{p}] += 1")
+                w.emit(f"st_dp[{p}][{port!r}] += 1")
 
     def _shell_body(self, p: int) -> None:
         # A relaxed shell without an oracle override requires every port, so
@@ -989,7 +1094,7 @@ class _Generator:
         head always carries the current tag — availability is truthiness.
         """
         w = self.w
-        conds = [f"q{qid}" for qid in self.layout.in_qids[p]]
+        conds = [f"n{qid}" for qid in self.layout.in_qids[p]]
         conds += [f"x{c} & 1" for c in self.layout.out_chans[p]]
         if conds:
             w.emit(f"if {' and '.join(conds)}:")
@@ -1009,7 +1114,7 @@ class _Generator:
         if ports:
             w.emit("_m = False")
             for port, qid in zip(ports, qids):
-                w.emit(f"if not q{qid}:")
+                w.emit(f"if not n{qid}:")
                 with _Block(w):
                     w.emit("_m = True")
                     w.emit(f"st_mp[{p}][{port!r}] += 1")
@@ -1042,29 +1147,31 @@ class _Generator:
         stats = self.stats
 
         w.emit(f"_t = f{p}")
-        w.emit(f"_req = p{p}_req()")
+        if self.replay:
+            # The trace's bitmask over the input ports, validated when it
+            # was recorded; indexing past its end leaves the row.
+            w.emit(f"_req = O{p}[_t]")
+        else:
+            w.emit(f"_req = p{p}_req()")
         if ports:
-            w.emit("if _req is None:")
-            with _Block(w):
-                w.emit(f"_req = PORTS{p}")
-            w.emit(f"elif not (_req <= PORTS{p}):")
-            with _Block(w):
-                w.emit(f"_unknown(p{p}.name, _req, PORTS{p})")
+            if not self.replay:
+                w.emit("if _req is None:")
+                with _Block(w):
+                    w.emit(f"_req = PORTS{p}")
+                w.emit(f"elif not (_req <= PORTS{p}):")
+                with _Block(w):
+                    w.emit(f"_unknown(p{p}.name, _req, PORTS{p})")
             w.emit("_m = False")
-            for port, qid in zip(ports, qids):
+            for bit, (port, qid) in enumerate(zip(ports, qids)):
                 # The scan runs on every FIFO (never stops early) so the
                 # occupancies latched next cycle match the reference.
-                w.emit(f"while q{qid} and g{qid} < _t:")
+                self._discard_stale(p, port, qid)
+                w.emit(f"if not n{qid}:")
                 with _Block(w):
-                    w.emit(f"q{qid}_pop()")
-                    w.emit(f"g{qid} += 1")
-                    w.emit(f"n{qid} -= 1")
-                    if stats:
-                        w.emit(f"st_disc[{p}] += 1")
-                        w.emit(f"st_dp[{p}][{port!r}] += 1")
-                w.emit(f"if not q{qid}:")
-                with _Block(w):
-                    w.emit(f"if {port!r} in _req:")
+                    if self.replay:
+                        w.emit(f"if _req & {1 << bit}:")
+                    else:
+                        w.emit(f"if {port!r} in _req:")
                     with _Block(w):
                         w.emit("_m = True")
                         if stats:
@@ -1076,9 +1183,10 @@ class _Generator:
             with _Block(w):
                 self._blocked_and_fire(p)
         else:
-            w.emit(f"if _req is not None and not (_req <= PORTS{p}):")
-            with _Block(w):
-                w.emit(f"_unknown(p{p}.name, _req, PORTS{p})")
+            if not self.replay:
+                w.emit(f"if _req is not None and not (_req <= PORTS{p}):")
+                with _Block(w):
+                    w.emit(f"_unknown(p{p}.name, _req, PORTS{p})")
             self._blocked_and_fire(p)
 
     def _blocked_and_fire(self, p: int) -> None:
@@ -1097,6 +1205,9 @@ class _Generator:
             self._fire(p)
 
     def _fire(self, p: int) -> None:
+        if self.replay:
+            self._replay_fire(p)
+            return
         w = self.w
         layout = self.layout
         ports = layout.in_ports[p]
@@ -1109,7 +1220,7 @@ class _Generator:
             items = ", ".join(f"{port!r}: None" for port in ports)
             w.emit(f"_in = {{{items}}}")
             for port, qid in zip(ports, qids):
-                w.emit(f"if q{qid}:")
+                w.emit(f"if n{qid}:")
                 with _Block(w):
                     w.emit(f"_in[{port!r}] = q{qid}_pop()")
                     w.emit(f"g{qid} += 1")
@@ -1141,6 +1252,31 @@ class _Generator:
                 w.emit(f"x{c} += P{c}")
         w.emit("fired_any = True")
 
+    def _replay_fire(self, p: int) -> None:
+        """A replayed firing: counters and chain launches, no values.
+
+        The consumed tokens and the launches are the full firing's (see
+        :meth:`_fire`); only ``fire`` itself and the values it would have
+        read and produced are gone.
+        """
+        w = self.w
+        qids = self.layout.in_qids[p]
+        if self.relaxed and self.req_ovr[p]:
+            for qid in qids:
+                w.emit(f"if n{qid}:")
+                with _Block(w):
+                    w.emit(f"g{qid} += 1")
+                    w.emit(f"n{qid} -= 1")
+        else:
+            for qid in qids:
+                w.emit(f"n{qid} -= 1")
+        w.emit(f"f{p} += 1")
+        if self.stop_mode == STOP_TARGET:
+            w.emit(f"fir[{p}] = f{p}")
+        for c in self.layout.out_chans[p]:
+            w.emit(f"x{c} += P{c}")
+        w.emit("fired_any = True")
+
 
 def generate_run_source(
     model: ElaboratedModel,
@@ -1148,9 +1284,57 @@ def generate_run_source(
     stop_mode: int = STOP_PROCESS,
     steady: bool = False,
     horizon: bool = False,
+    certification: Optional[Tuple[List[int], bool]] = None,
+    replay: bool = False,
 ) -> str:
     """Emit the source of the shape-specialized run function for *model*."""
-    return _Generator(model, instruments, stop_mode, steady, horizon).generate()
+    return _Generator(
+        model, instruments, stop_mode, steady, horizon, certification, replay
+    ).generate()
+
+
+# -- replay ---------------------------------------------------------------------
+
+class TraceExhausted(IndexError):
+    """A replayed row needed an answer past the end of its firing trace.
+
+    An ``IndexError`` because reading an oracle answer past the trace's end
+    raises one too: the compiled kernel catches both and runs the row again
+    in full.
+    """
+
+
+def _trace_exhausted() -> None:
+    raise TraceExhausted("the firing trace ended before the row did")
+
+
+def replay_binding(model: ElaboratedModel, trace) -> Optional[Tuple]:
+    """The per-run data a replay-layout run reads from *trace*.
+
+    ``(oracle answers, done thresholds, done known)`` per process: the
+    trace's interned oracle answers by firing index; the firing count at
+    which the process is done (one past the trace's firings when the trace
+    never saw it done, with *known* False, so reaching it leaves the row);
+    and whether that count is known.  *trace* is a
+    :class:`~repro.core.golden.FiringTrace`.  Returns None when the trace
+    was not recorded on this layout's processes (other names, or an oracle
+    the trace lacks).
+    """
+    layout = model.layout
+    if trace.process_names != tuple(layout.proc_names):
+        return None
+    hooks = layout_shape(layout).key[-1]
+    done: List[int] = []
+    known: List[bool] = []
+    for p, (done_ovr, _, req_ovr, _, _) in enumerate(hooks):
+        if model.relaxed and req_ovr and trace.oracle[p] is None:
+            return None
+        at = trace.done_at[p]
+        # Without an is_done override the flag is constantly False (the
+        # generated code never reads its threshold).
+        done.append(trace.firings + 1 if at is None else at)
+        known.append(at is not None or not done_ovr)
+    return trace.oracle, done, known
 
 
 def _base_namespace(shape: _Shape) -> dict:
@@ -1170,6 +1354,7 @@ def _base_namespace(shape: _Shape) -> dict:
         "_ss_sj": stats_jump,
         "_ss_thin": thin_checkpoints,
         "_SS_CAP": CHECKPOINT_CAP,
+        "_miss": _trace_exhausted,
     }
     in_ports, out_ports = shape.key[:2]
     for p, (ports, outputs) in enumerate(zip(in_ports, out_ports)):
@@ -1211,21 +1396,32 @@ def compiled_run_fn(
     stop_mode: int = STOP_PROCESS,
     steady: bool = False,
     horizon: bool = False,
+    certification: Optional[Tuple[List[int], bool]] = None,
+    replay: bool = False,
 ) -> Callable:
     """The compiled run function for *model*, generated and cached on demand.
 
     The cache is process-wide and keyed by :func:`model_signature`, so every
     RS vector, capacity and fresh layout of one netlist shape shares one
-    function; call it with :func:`run_binding` of the model.  Two threads
-    missing on the same key may both compile; the first insert wins.
+    function; call it with :func:`run_binding` of the model (and, for the
+    *replay* layout, :func:`replay_binding` of the replayed trace).  A
+    caller that already classified the model passes *certification* (its
+    :func:`certify_model` answer) so the processes' ``schedule_state()``
+    is not sampled again.  Two threads missing on the same key may both
+    compile; the first insert wins.
     """
-    key = model_signature(model, instruments, stop_mode, steady, horizon)
+    key = model_signature(
+        model, instruments, stop_mode, steady, horizon, certification, replay
+    )
     with _code_lock:
         fn = _code_cache.get(key)
         if fn is not None:
             _code_cache.move_to_end(key)
             return fn
-    source = generate_run_source(model, instruments, stop_mode, steady, horizon)
+    source = generate_run_source(
+        model, instruments, stop_mode, steady, horizon,
+        certification=certification, replay=replay,
+    )
     code = compile(source, "<lid-codegen>", "exec")
     namespace = _base_namespace(layout_shape(model.layout))
     exec(code, namespace)

@@ -16,6 +16,17 @@ per-cycle snapshot is one tuple of integers the loop already maintains
 analytic jump over the detected period's repetitions happens inside the
 generated frame.
 
+Given a golden run's :class:`~repro.core.golden.FiringTrace`
+(``RunControls.replay``), the kernel times the row with the **replay
+layout** instead: no process is fired, the oracle answers and done flags
+come from the trace by firing index (the paper's equivalence argument makes
+them schedule-independent, DESIGN.md §3).  A row the trace cannot answer —
+an oracle read past its end, a done flag it never saw, a firing the golden
+run never made — runs again in full; ``LidResult.kernel`` says
+``"replay"`` or ``"compiled"`` and ``LidResult.fallback`` why a requested
+replay did not answer the row.  The run classifies its model for
+steady-state detection once: the plan's certification keys the code cache.
+
 Semantics are pinned to the reference kernel by the property suites in
 ``tests/test_engine.py`` and ``tests/test_steady_state.py``: cycles,
 firings, traces, stall statistics, occupancies and extrapolated counts are
@@ -32,7 +43,7 @@ from __future__ import annotations
 
 from ..core.shell import ShellStats
 from ..core.traces import SystemTrace
-from .codegen import compiled_run_fn, resolve_stop, run_binding
+from .codegen import compiled_run_fn, replay_binding, resolve_stop, run_binding
 from .instrumentation import InstrumentSet, trace_from_lists
 from .kernel import RunControls, SimKernel
 from .result import LidResult
@@ -54,9 +65,6 @@ class CompiledKernel(SimKernel):
 
         layout = model.layout
         proc_names = layout.proc_names
-        n_procs = len(proc_names)
-        fir = [0] * n_procs
-
         stop_mode, stop_arg = resolve_stop(controls, proc_names)
 
         plan = detection_plan(
@@ -64,27 +72,29 @@ class CompiledKernel(SimKernel):
             controls.steady_state_window, controls.on_cycle,
             asymptotic=controls.asymptotic(),
         )
-        run_fn = compiled_run_fn(
-            model, instruments, stop_mode,
-            steady=plan is not None,
-            horizon=controls.horizon is not None,
-        )
-        cycles, halted, chan_items, stats, maxocc, period, warmup, extrapolated = (
-            run_fn(
-                layout.processes,
-                fir,
-                model.configuration_label,
-                controls.max_cycles,
-                controls.deadlock_limit,
-                controls.extra_cycles,
-                stop_mode,
-                stop_arg,
-                controls.horizon if controls.horizon is not None else 0,
-                plan.window if plan is not None else 0,
-                run_binding(model),
+        fir = outcome = fallback = None
+        if controls.replay is not None:
+            fir, outcome, fallback = self._replay(
+                controls, instruments, plan, stop_mode, stop_arg
             )
+        kernel = "compiled" if outcome is None else "replay"
+        if outcome is None:
+            run_fn = compiled_run_fn(
+                model, instruments, stop_mode,
+                steady=plan is not None,
+                horizon=controls.horizon is not None,
+                # One classification per run: the plan already holds it.
+                certification=plan.certification if plan is not None else None,
+            )
+            fir, outcome = self._call(
+                run_fn, controls, stop_mode, stop_arg,
+                plan.window if plan is not None else 0,
+            )
+        cycles, halted, chan_items, stats, maxocc, period, warmup, extrapolated = (
+            outcome
         )
 
+        n_procs = len(proc_names)
         firings = {proc_names[p]: fir[p] for p in range(n_procs)}
         if stats is not None:
             st_missing, st_blocked, st_done, st_disc, st_dp, st_mp = stats
@@ -125,4 +135,58 @@ class CompiledKernel(SimKernel):
             period=period or None,
             warmup_cycles=warmup if period else None,
             extrapolated=extrapolated,
+            kernel=kernel,
+            fallback=fallback,
         )
+
+    def _call(self, run_fn, controls: RunControls, stop_mode, stop_arg,
+              window: int, replay=None):
+        """Call a generated run function: ``(firing counters, outcome)``."""
+        model = self.model
+        fir = [0] * len(model.layout.proc_names)
+        outcome = run_fn(
+            model.layout.processes,
+            fir,
+            model.configuration_label,
+            controls.max_cycles,
+            controls.deadlock_limit,
+            controls.extra_cycles,
+            stop_mode,
+            stop_arg,
+            controls.horizon if controls.horizon is not None else 0,
+            window,
+            run_binding(model),
+            replay,
+        )
+        return fir, outcome
+
+    def _replay(self, controls: RunControls, instruments: InstrumentSet, plan,
+                stop_mode, stop_arg):
+        """Time the row from ``controls.replay`` with the replay layout.
+
+        Returns ``(firing counters, outcome, None)``, or ``(None, None,
+        reason)`` when the row must run in full: the run needs what the
+        trace lacks (token values, schedule samples, a firing past the
+        trace's end) or the trace belongs to other processes.
+        """
+        if plan is not None:
+            return None, None, "steady-state detection armed"
+        if instruments.trace:
+            return None, None, "value trace requested"
+        trace = controls.replay
+        data = replay_binding(self.model, trace)
+        if data is None:
+            return None, None, "trace recorded on other processes"
+        run_fn = compiled_run_fn(
+            self.model, instruments, stop_mode,
+            horizon=controls.horizon is not None, replay=True,
+        )
+        try:
+            fir, outcome = self._call(run_fn, controls, stop_mode, stop_arg, 0, data)
+        except IndexError:  # TraceExhausted, or an oracle read past the end
+            return None, None, "trace exhausted"
+        if max(fir, default=0) > trace.firings:
+            # A firing the golden run never made: its outputs were never
+            # checked against the declared ports.
+            return None, None, "trace exhausted"
+        return fir, outcome, None

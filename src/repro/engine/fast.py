@@ -585,5 +585,6 @@ class FastKernel(SimKernel):
             period=ss_period,
             warmup_cycles=ss_warmup,
             extrapolated=extrapolated,
+            kernel=self.name,
         )
 

@@ -591,6 +591,7 @@ def run_lockstep_batch(
                 period=None,
                 warmup_cycles=None,
                 extrapolated=False,
+                kernel="lockstep",
             )
         )
     return results

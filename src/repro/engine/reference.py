@@ -237,6 +237,7 @@ class ReferenceKernel(SimKernel):
             rs_counts=dict(model.rs_counts),
             shell_stats=shell_stats,
             max_queue_occupancy=max_occupancy,
+            kernel=self.name,
         )
 
     def _stop_condition(self, stop_process, target_firings) -> bool:

@@ -184,6 +184,12 @@ class LidResult:
     #: side effects inside process objects (e.g. values a sink recorded) stop
     #: at the point the skip began.
     extrapolated: bool = False
+    #: Provenance, outside equality and the canonical form: the kernel that
+    #: produced the counts (``"replay"`` for the compiled kernel's replay
+    #: layout; None on a result rebuilt from its dict form) and, when a
+    #: requested replay ran in full instead, why (e.g. ``"trace exhausted"``).
+    kernel: Optional[str] = field(default=None, compare=False)
+    fallback: Optional[str] = field(default=None, compare=False)
 
     def throughput(self, process: Optional[str] = None) -> float:
         """Valid firings per cycle for one process (or the system minimum).

@@ -96,6 +96,11 @@ class DetectionPlan:
     #: comparison (certified mode only).
     verify_fns: List[Tuple[int, Callable]] = field(default_factory=list)
 
+    @property
+    def certification(self) -> Tuple[List[int], bool]:
+        """The :func:`certify_model` answer this plan was built from."""
+        return [p for p, _ in self.sig_fns], self.certified
+
 
 def certify_model(model: ElaboratedModel) -> Optional[Tuple[List[int], bool]]:
     """Classify one elaborated netlist for steady-state detection.

@@ -1,0 +1,484 @@
+"""Trace once, time many: the golden run's firing trace and the replay layout.
+
+Firing *k* of a shell-wrapped process consumes the *k*-th valid token of
+every input whatever the relay stations, so its oracle answer and done flag
+at firing *k* are the same in every run (the paper's latency-insensitivity
+theorem).  The golden run records them as a
+:class:`~repro.core.golden.FiringTrace`; the compiled kernel's replay layout
+times done-stop rows from it without calling ``fire``.  This module pins:
+
+* the theorem itself, as a property over random relay-station vectors,
+  capacities and wrappers (CPU units, contract-abiding random netlists and
+  the PageRank ring);
+* replayed rows against full ``compiled`` and ``reference`` rows;
+* the fallback: a row the trace cannot answer runs in full;
+* the replay source, its cache key, the Table 1 plumbing and the result
+  provenance fields.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import Channel, FiringTrace, FunctionProcess, Netlist, run_golden
+from repro.core.exceptions import DeadlockError, SimulationError
+from repro.core.process import SCHEDULE_INERT, PassthroughProcess, overrides_hook
+from repro.cpu import build_pipelined_cpu
+from repro.cpu.workloads import make_extraction_sort, make_matrix_multiply
+from repro.engine import BatchRunner, InstrumentSet, elaborate
+from repro.engine.batch import BatchResult
+from repro.engine.codegen import compiled_run_fn, model_signature
+from repro.engine.compiled import CompiledKernel
+from repro.engine.kernel import RunControls
+from repro.topology.generators import random_topology
+from repro.workloads.graph import make_pagerank_workload
+
+_CPUS = {}
+
+
+def _cpu(workload: str):
+    """One small pipelined CPU per workload, shared by the examples."""
+    if workload not in _CPUS:
+        program = (
+            make_extraction_sort(length=6, seed=7)
+            if workload == "sort"
+            else make_matrix_multiply(size=2, seed=7)
+        ).program
+        cpu = build_pipelined_cpu(program)
+        _CPUS[workload] = (cpu, cpu.run_golden(record_trace=False).firing_trace)
+    return _CPUS[workload]
+
+
+def _mask(process, answer) -> int:
+    """An oracle answer interned the way the trace interns it."""
+    ports = process.input_ports
+    if answer is None:
+        return (1 << len(ports)) - 1
+    return sum(1 << i for i, port in enumerate(ports) if port in answer)
+
+
+class _RecordedOracles:
+    """Records every oracle answer right before each ``fire`` of a netlist."""
+
+    def __init__(self, netlist: Netlist) -> None:
+        self.processes = list(netlist.processes.values())
+        self.answers = {}
+        for index, process in enumerate(self.processes):
+            if not overrides_hook(process, "required_ports"):
+                continue
+            answers = self.answers[index] = []
+            fire = process.fire
+
+            def recording(inputs, process=process, fire=fire, answers=answers):
+                answers.append(_mask(process, process.required_ports()))
+                return fire(inputs)
+
+            process.fire = recording
+
+    def __enter__(self) -> "_RecordedOracles":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for process in self.processes:
+            process.__dict__.pop("fire", None)
+
+    def assert_matches(self, trace: FiringTrace) -> None:
+        """Every recorded answer equals the trace's at its firing index."""
+        for index, answers in self.answers.items():
+            recorded = trace.oracle[index]
+            assert len(answers) <= len(recorded), "run fired past the trace"
+            assert bytes(answers) == bytes(recorded[: len(answers)])
+
+
+def _rs_vector(draw, netlist, limit=2):
+    return {
+        name: draw(st.integers(min_value=0, max_value=limit))
+        for name in netlist.channels
+    }
+
+
+def _abiding_transition(index, n_outs, oracle):
+    """Mixes only the ports its oracle requires: the paper's contract."""
+
+    def transition(state, inputs):
+        required = oracle(state) if oracle is not None else None
+        acc = state * 31 + index
+        for port in sorted(inputs):
+            if required is not None and port not in required:
+                continue
+            acc = (acc * 17 + int(inputs[port]) + 1) % 100003
+        return acc, {f"o{k}": (acc + k) % 1009 for k in range(n_outs)}
+
+    return transition
+
+
+def _rotating_oracle(ports, period):
+    def oracle(state):
+        return frozenset(
+            port for k, port in enumerate(ports) if (state + k) % period != 0
+        )
+
+    return oracle
+
+
+@st.composite
+def abiding_netlists(draw):
+    """Random netlists (loops, fan-out) whose oracles honour the contract."""
+    n_procs = draw(st.integers(min_value=2, max_value=4))
+    n_ins = [draw(st.integers(min_value=1, max_value=3)) for _ in range(n_procs)]
+    processes = []
+    for p in range(n_procs):
+        ports = tuple(f"i{k}" for k in range(n_ins[p]))
+        period = draw(st.integers(min_value=0, max_value=3))
+        oracle = _rotating_oracle(ports, period) if period else None
+        processes.append(
+            FunctionProcess(
+                name=f"p{p}",
+                inputs=ports,
+                outputs=("o0", "o1"),
+                transition=_abiding_transition(p, 2, oracle),
+                initial_state=p,
+                oracle=oracle,
+            )
+        )
+    channels = [
+        Channel(
+            name=f"c{p}_{k}",
+            source=f"p{draw(st.integers(min_value=0, max_value=n_procs - 1))}",
+            source_port=f"o{draw(st.integers(min_value=0, max_value=1))}",
+            dest=f"p{p}",
+            dest_port=f"i{k}",
+            initial=draw(st.integers(min_value=0, max_value=5)),
+        )
+        for p in range(n_procs)
+        for k in range(n_ins[p])
+    ]
+    return Netlist(processes, channels, name="abiding")
+
+
+class TestFiringTrace:
+    def test_recorded_without_a_knob(self):
+        cpu, _ = _cpu("sort")
+        golden = cpu.run_golden(record_trace=False)
+        trace = golden.firing_trace
+        assert trace.process_names == tuple(cpu.netlist.processes)
+        assert trace.firings == golden.cycles
+        cu = trace.process_names.index(cpu.control_unit.name)
+        assert trace.done_at[cu] == golden.cycles
+        for index, process in enumerate(cpu.netlist.processes.values()):
+            if overrides_hook(process, "required_ports"):
+                assert len(trace.oracle[index]) == golden.cycles + 1
+            else:
+                assert trace.oracle[index] is None
+
+    def test_trace_pickles_small(self):
+        _, trace = _cpu("matmul")
+        assert pickle.loads(pickle.dumps(trace)) == trace
+        assert len(pickle.dumps(trace)) < 16_384
+
+    def _pair(self, oracle=None, done_after=None):
+        """A two-process ring; ``b``'s hooks are the test's, ``a`` stops it."""
+
+        class Sink(PassthroughProcess):
+            def required_ports(self):
+                return oracle(self.firings) if oracle else None
+
+            def is_done(self):
+                return done_after(self.firings) if done_after else False
+
+        netlist = Netlist(
+            [PassthroughProcess("a"), Sink("b")],
+            [
+                Channel("ab", "a", "out", "b", "in", initial=0),
+                Channel("ba", "b", "out", "a", "in", initial=0),
+            ],
+        )
+        return run_golden(netlist, max_cycles=10, stop_process="a").firing_trace
+
+    def test_unknown_oracle_port_drops_the_trace(self):
+        assert self._pair(oracle=lambda k: frozenset({"in"})) is not None
+        assert self._pair(oracle=lambda k: frozenset({"nope"})) is None
+
+    def test_done_flag_turning_false_drops_the_trace(self):
+        trace = self._pair(done_after=lambda k: k >= 3)
+        assert trace.done_at == (None, 3)
+        assert self._pair(done_after=lambda k: k == 3) is None
+
+    def test_answers_are_interned_bitmasks(self):
+        trace = self._pair(oracle=lambda k: frozenset() if k % 2 else None)
+        assert list(trace.oracle[1]) == [1, 0] * 5 + [1]
+
+
+class TestTheorem:
+    """Oracle answers and done flags by firing index are schedule-independent."""
+
+    @settings(
+        max_examples=24, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        workload=st.sampled_from(["sort", "matmul"]),
+        relaxed=st.booleans(),
+        # Capacity-1 FIFOs can deadlock the CPU; the theorem is about the
+        # firings a run makes, so the test wants runs that finish.
+        capacity=st.integers(min_value=2, max_value=4),
+        data=st.data(),
+    )
+    def test_cpu_units(self, workload, relaxed, capacity, data):
+        cpu, trace = _cpu(workload)
+        rs = _rs_vector(data.draw, cpu.netlist)
+        runner = BatchRunner(
+            cpu.netlist, relaxed=relaxed, queue_capacity=capacity, kernel="compiled"
+        )
+        with _RecordedOracles(cpu.netlist) as recorded:
+            result = runner.run(rs_counts=rs, stop_process=cpu.control_unit.name)
+        recorded.assert_matches(trace)
+        cu = trace.process_names.index(cpu.control_unit.name)
+        assert result.firings[cpu.control_unit.name] == trace.done_at[cu]
+
+    @settings(max_examples=30, deadline=None)
+    @given(netlist=abiding_netlists(), relaxed=st.booleans(), data=st.data())
+    def test_contract_abiding_random_netlists(self, netlist, relaxed, data):
+        trace = run_golden(netlist, max_cycles=200).firing_trace
+        rs = _rs_vector(data.draw, netlist, limit=3)
+        capacity = data.draw(st.integers(min_value=1, max_value=3))
+        with _RecordedOracles(netlist) as recorded:
+            try:
+                BatchRunner(netlist, relaxed=relaxed, queue_capacity=capacity).run(
+                    rs_counts=rs, horizon=150, deadlock_limit=100
+                )
+            except DeadlockError:
+                pass  # the firings made before the deadlock still count
+        recorded.assert_matches(trace)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=50), data=st.data())
+    def test_zoo_oracle_states_under_wp1(self, seed, data):
+        # The zoo's mixing processes fold every input into their state, even
+        # the ports their oracle leaves out, so only WP1 (which always feeds
+        # the real token) reproduces the golden states.
+        netlist = random_topology(seed=seed, with_oracles=True).netlist
+        trace = run_golden(netlist, max_cycles=200).firing_trace
+        with _RecordedOracles(netlist) as recorded:
+            BatchRunner(netlist).run(
+                rs_counts=_rs_vector(data.draw, netlist, limit=3), horizon=150
+            )
+        recorded.assert_matches(trace)
+
+    @settings(max_examples=10, deadline=None)
+    @given(relaxed=st.booleans(), data=st.data())
+    def test_pagerank_done_index(self, relaxed, data):
+        workload = make_pagerank_workload(
+            [(0, 1), (1, 2), (2, 0), (0, 2), (3, 1)], n_pe=3, n_rounds=3
+        )
+        netlist = workload.netlist
+        trace = run_golden(
+            netlist, stop_process=workload.stop_process, max_cycles=5_000
+        ).firing_trace
+        rs = _rs_vector(data.draw, netlist, limit=3)
+        result = BatchRunner(netlist, relaxed=relaxed).run(
+            rs_counts=rs, stop_process=workload.stop_process
+        )
+        stop = trace.process_names.index(workload.stop_process)
+        assert result.firings[workload.stop_process] == trace.done_at[stop]
+
+
+def _row(netlist, kernel, relaxed, rs, **controls):
+    try:
+        return BatchRunner(netlist, relaxed=relaxed, kernel=kernel).run_many(
+            [rs], **controls
+        )[0]
+    except (DeadlockError, SimulationError) as exc:
+        return type(exc).__name__
+
+
+class TestReplayedRows:
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        workload=st.sampled_from(["sort", "matmul"]),
+        relaxed=st.booleans(),
+        data=st.data(),
+    )
+    def test_cpu_rows_equal_full_and_reference(self, workload, relaxed, data):
+        cpu, trace = _cpu(workload)
+        rs = _rs_vector(data.draw, cpu.netlist)
+        stop = cpu.control_unit.name
+        replayed = _row(cpu.netlist, "compiled", relaxed, rs,
+                        stop_process=stop, replay=trace)
+        assert replayed.kernel == "replay" and replayed.fallback is None
+        for kernel in ("compiled", "reference"):
+            full = _row(cpu.netlist, kernel, relaxed, rs, stop_process=stop)
+            assert full.kernel == kernel
+            assert (replayed.cycles, replayed.firings, replayed.halted) == (
+                full.cycles, full.firings, full.halted
+            )
+            assert replayed == full
+
+    @settings(max_examples=30, deadline=None)
+    @given(netlist=abiding_netlists(), relaxed=st.booleans(), data=st.data())
+    def test_random_rows_equal_reference(self, netlist, relaxed, data):
+        # Firing targets stop the row; a target past the trace falls back.
+        trace = run_golden(netlist, max_cycles=60).firing_trace
+        rs = _rs_vector(data.draw, netlist, limit=3)
+        target = {"p0": data.draw(st.integers(min_value=1, max_value=80))}
+        controls = dict(
+            target_firings=target, max_cycles=2_000, deadlock_limit=300,
+            steady_state=False,  # a detector would take the row instead
+        )
+        replayed = _row(netlist, "compiled", relaxed, rs, replay=trace, **controls)
+        full = _row(netlist, "reference", relaxed, rs, **controls)
+        assert replayed == full
+        if isinstance(replayed, BatchResult) and replayed.kernel == "compiled":
+            assert replayed.fallback == "trace exhausted"
+
+    @pytest.mark.parametrize("stop", ["pe0", None], ids=["stop-process", "any-done"])
+    def test_pagerank_rows_equal_reference(self, stop):
+        workload = make_pagerank_workload(
+            [(0, 1), (1, 2), (2, 0), (0, 2), (3, 1)], n_pe=3, n_rounds=3
+        )
+        netlist = workload.netlist
+        trace = run_golden(netlist, stop_process=stop, max_cycles=5_000).firing_trace
+        # The PE summaries arm a plain plan, which would take the row first.
+        controls = dict(stop_process=stop, steady_state=False)
+        for relaxed in (False, True):
+            for rs in ({}, {name: 2 for name in netlist.channels}):
+                replayed = _row(netlist, "compiled", relaxed, rs,
+                                replay=trace, **controls)
+                assert replayed.kernel == "replay"
+                assert replayed == _row(netlist, "reference", relaxed, rs, **controls)
+
+    def test_truncated_trace_runs_in_full(self):
+        cpu, trace = _cpu("matmul")
+        half = trace.firings // 2
+        truncated = dataclasses.replace(
+            trace,
+            firings=half,
+            oracle=tuple(None if o is None else o[: half + 1] for o in trace.oracle),
+            done_at=tuple(None for _ in trace.done_at),
+        )
+        stop = cpu.control_unit.name
+        for relaxed in (False, True):
+            replayed = _row(cpu.netlist, "compiled", relaxed, {},
+                            stop_process=stop, replay=truncated)
+            full = _row(cpu.netlist, "compiled", relaxed, {}, stop_process=stop)
+            assert replayed == full
+            assert replayed.kernel == "compiled"
+            assert replayed.fallback == "trace exhausted"
+
+    def test_foreign_trace_is_not_replayed(self):
+        cpu, _ = _cpu("sort")
+        foreign = dataclasses.replace(
+            _cpu("matmul")[1], process_names=("a", "b", "c", "d", "e")
+        )
+        row = _row(cpu.netlist, "compiled", True, {},
+                   stop_process=cpu.control_unit.name, replay=foreign)
+        assert row.kernel == "compiled"
+        assert row.fallback == "trace recorded on other processes"
+
+    def test_pool_shards_replay(self):
+        cpu, trace = _cpu("sort")
+        items = [{name: k % 3 for name in cpu.netlist.channels} for k in range(4)]
+        runner = BatchRunner(cpu.netlist, relaxed=True)
+        stop = cpu.control_unit.name
+        pooled = runner.run_many(items, workers=2, stop_process=stop, replay=trace)
+        serial = runner.run_many(items, stop_process=stop)
+        assert pooled == serial
+        assert [row.kernel for row in pooled] == ["replay"] * 4
+
+
+class TestReplaySource:
+    def test_source_has_no_fire_and_no_value_traffic(self):
+        cpu, _ = _cpu("sort")
+        for relaxed in (False, True):
+            model = elaborate(cpu.netlist, relaxed=relaxed)
+            source = compiled_run_fn(
+                model, InstrumentSet.none(), replay=True
+            ).__lid_source__
+            assert "_fire(" not in source
+            assert "_ap(" not in source
+            assert "deque" not in source
+            full = compiled_run_fn(model, InstrumentSet.none()).__lid_source__
+            assert "_fire(" in full and "_ap(" in full
+
+    def test_replay_layout_has_its_own_cache_key(self):
+        cpu, _ = _cpu("sort")
+        model = elaborate(cpu.netlist, relaxed=True)
+        none = InstrumentSet.none()
+        assert model_signature(model, none, replay=True) != model_signature(model, none)
+        assert compiled_run_fn(model, none, replay=True) is not compiled_run_fn(
+            model, none
+        )
+
+
+class _CountingInert(PassthroughProcess):
+    calls = 0
+
+    def schedule_state(self):
+        type(self).calls += 1
+        return SCHEDULE_INERT
+
+
+def test_schedule_state_sampled_once_per_run():
+    netlist = Netlist(
+        [_CountingInert("a"), _CountingInert("b")],
+        [
+            Channel("ab", "a", "out", "b", "in", initial=0),
+            Channel("ba", "b", "out", "a", "in", initial=0),
+        ],
+    )
+    model = elaborate(netlist, rs_counts={"ab": 1, "ba": 0})
+    kernel = CompiledKernel(model)
+    for _ in range(3):  # the first run compiles, the others hit the cache
+        _CountingInert.calls = 0
+        result = kernel.run(RunControls(horizon=500), InstrumentSet.none())
+        assert result.cycles == 500
+        assert _CountingInert.calls == 2  # once per process
+
+
+class TestTable1Plumbing:
+    def _controls(self, monkeypatch, **kwargs):
+        from repro.engine.evaluator import BatchEvaluator
+        from repro.experiments import table1
+
+        seen = []
+        original = BatchEvaluator.run_wrappers
+
+        def spy(self, items, **controls):
+            seen.append(controls.get("replay"))
+            return original(self, items, **controls)
+
+        monkeypatch.setattr(BatchEvaluator, "run_wrappers", spy)
+        workload = make_extraction_sort(length=4, seed=7)
+        configurations = table1.single_link_rows()[:2]
+        table1.evaluate_rows(workload, configurations, **kwargs)
+        return seen
+
+    def test_done_stop_rows_replay_the_golden_trace(self, monkeypatch):
+        (replay,) = self._controls(monkeypatch)
+        assert isinstance(replay, FiringTrace)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"horizon": 3_000}, {"kernel": "reference"}, {"kernel": "fast"}],
+        ids=["horizon", "reference", "fast"],
+    )
+    def test_other_rows_simulate_in_full(self, monkeypatch, kwargs):
+        assert self._controls(monkeypatch, **kwargs) == [None]
+
+
+class TestProvenance:
+    def test_kernel_and_fallback_stay_out_of_equality_and_dict(self):
+        row = BatchResult(label="x", cycles=5, firings={"a": 5}, halted=True,
+                          wrapper_kind="WP1", kernel="replay")
+        other = dataclasses.replace(row, kernel="compiled", fallback="trace exhausted")
+        assert row == other
+        assert "kernel" not in row.to_dict() and "fallback" not in row.to_dict()
+        assert BatchResult.from_dict(row.to_dict()) == row

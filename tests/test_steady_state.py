@@ -922,10 +922,10 @@ def _count_generations(monkeypatch):
     original = codegen.generate_run_source
 
     def counting(model, instruments, stop_mode=codegen.STOP_PROCESS,
-                 steady=False, horizon=False):
+                 steady=False, horizon=False, **options):
         flags = (instruments.trace, instruments.shell_stats, instruments.occupancy)
         calls.append((model.relaxed, flags, stop_mode, steady, horizon))
-        return original(model, instruments, stop_mode, steady, horizon)
+        return original(model, instruments, stop_mode, steady, horizon, **options)
 
     monkeypatch.setattr(codegen, "generate_run_source", counting)
     codegen.clear_code_cache()
