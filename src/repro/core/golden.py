@@ -40,8 +40,10 @@ class FiringTrace:
     bit), validated against the ports when recorded.
     """
 
-    #: Process names, in netlist order (a layout replays only its own trace).
-    process_names: Tuple[str, ...]
+    #: :attr:`~repro.core.netlist.Netlist.identity` of the netlist the trace
+    #: was recorded on; a layout replays only a trace of its own netlist.
+    #: Per-process fields below are in that netlist's process order.
+    netlist_identity: str
     #: Firings every process made in the golden run (one per cycle).
     firings: int
     #: Per process: the oracle answer before firing ``k`` at index ``k``,
@@ -64,7 +66,7 @@ class _FiringRecorder:
 
     def __init__(self, netlist: Netlist) -> None:
         processes = list(netlist.processes.values())
-        self.names = tuple(netlist.processes)
+        self.identity = netlist.identity
         self.valid = True
         #: Per process index: (process, {answer: mask}, answers) for the
         #: processes with an oracle, None for the others.
@@ -121,7 +123,7 @@ class _FiringRecorder:
         if not self.valid:
             return None
         return FiringTrace(
-            process_names=self.names,
+            netlist_identity=self.identity,
             firings=firings,
             oracle=tuple(oracle),
             done_at=tuple(self.done_at),

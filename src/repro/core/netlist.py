@@ -14,6 +14,9 @@ performs fairly strict validation on construction:
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import pickle
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,6 +25,10 @@ import networkx as nx
 from .channel import Channel
 from .exceptions import NetlistError
 from .process import Process
+
+
+#: Tokens for netlists that cannot be pickled: unique per object, never reused.
+_OBJECT_TOKENS = itertools.count()
 
 
 def _port_channel_map() -> "defaultdict[str, List[Channel]]":
@@ -35,7 +42,12 @@ def _port_channel_map() -> "defaultdict[str, List[Channel]]":
 
 
 class Netlist:
-    """A set of processes connected by point-to-point channels."""
+    """A set of processes connected by point-to-point channels.
+
+    ``identity`` names the netlist as it was built (:meth:`_identify`):
+    build a new netlist rather than edit a process' initial state, program
+    or memory image in place after construction.
+    """
 
     def __init__(
         self,
@@ -61,8 +73,27 @@ class Netlist:
             _port_channel_map
         )
         self._validate()
+        self.identity, self.content_addressed = self._identify()
 
     # -- construction helpers ------------------------------------------------
+    def _identify(self) -> Tuple[str, bool]:
+        """The netlist's one identity, fixed once it is built.
+
+        For a netlist that pickles, the sha256 of that pickle: it covers
+        every process with its program and initial state, the channels and
+        their initial tokens, so a rebuilt twin gets the same identity.
+        Runs never change it, although they mutate the processes.  Result
+        cache keys, service layout names, the worker agents' runner cache
+        and every :class:`~repro.core.golden.FiringTrace` read it.  A
+        netlist that cannot be pickled (closure processes) gets a token
+        unique to this object instead, and ``content_addressed`` is False:
+        it never aliases another netlist and is never cached.
+        """
+        try:
+            return hashlib.sha256(pickle.dumps(self)).hexdigest(), True
+        except Exception:  # whatever a process' pickling raises, build on
+            return f"id{next(_OBJECT_TOKENS):010x}", False
+
     def _validate(self) -> None:
         for chan in self._channels.values():
             if chan.source not in self._processes:

@@ -24,8 +24,8 @@ Results are published through the content-addressed result cache when the
 coordinator advertised a shared ``cache_dir`` (one ``put`` per item, the
 frame carries only ``(key, label)`` pairs), inline otherwise.
 
-Agents also keep a small cross-batch runner cache keyed by netlist content
-digest (:class:`_RunnerCache`): successive batches of a sweep re-ship the
+Agents also keep a small cross-batch runner cache keyed by netlist identity
+(:class:`_RunnerCache`): successive batches of a sweep re-ship the
 same netlists, and reusing the runner object carries its elaborated layout
 to the next lease instead of rebuilding it from the pickled spec every time.
 """
@@ -39,7 +39,7 @@ import time
 from typing import Any, List, Optional, Tuple
 
 from ..engine import faults
-from ..engine.batch import RunnerStore, content_digest
+from ..engine.batch import RunnerStore
 from ..engine.faults import FaultPlan
 from ..engine.supervised_pool import serve_shard
 from .protocol import recv_message, send_message
@@ -52,16 +52,16 @@ DEFAULT_RECONNECT_DELAY = 0.25
 
 
 class _RunnerCache:
-    """Small LRU of runners keyed by netlist content digest + build options.
+    """Small LRU of runners keyed by netlist identity + build options.
 
     Agents serve many batches over their lifetime, and successive batches of
     a sweep usually re-ship the very same netlists.  A runner holds the
     expensive per-layout state, its elaborated layout, so keeping the runner
     object alive across batches carries it to the next lease.
-    The key is the netlist's :func:`~repro.engine.batch.content_digest`
-    (the identity the result cache keys on too) plus the scalar build
-    options of the work spec; a netlist that fails to pickle has no content
-    identity and is simply not cached.
+    The key is the netlist's :attr:`~repro.core.netlist.Netlist.identity`
+    (the one the result cache keys on too, fixed when the netlist was built
+    and carried through the pickle) plus the scalar build options of the
+    work spec.
     """
 
     def __init__(self, maxsize: int = 8) -> None:
@@ -69,9 +69,8 @@ class _RunnerCache:
         self._entries: dict = {}  # insertion-ordered: oldest first
 
     @staticmethod
-    def key(spec: Tuple) -> Optional[Tuple]:
-        digest = content_digest(spec[0])
-        return None if digest is None else (digest, *spec[1:])
+    def key(spec: Tuple) -> Tuple:
+        return (spec[0].identity, *spec[1:])
 
     def get(self, key: Tuple):
         runner = self._entries.pop(key, None)

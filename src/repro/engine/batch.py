@@ -41,7 +41,6 @@ machinery.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import multiprocessing
 import pickle
@@ -190,22 +189,6 @@ class BatchResult:
         )
 
 
-def content_digest(netlist: Netlist) -> Optional[str]:
-    """Content digest of *netlist*, or None when it cannot be pickled.
-
-    The sha256 of the pickled netlist identifies its *content* (processes
-    with their programs and initial state, channels, initial tokens) — the
-    part of a simulation's input the structural
-    :func:`~repro.engine.codegen.model_signature` does not cover.  The one
-    netlist identity: result-cache keys and the worker agents' runner cache
-    both use it.
-    """
-    try:
-        return hashlib.sha256(pickle.dumps(netlist)).hexdigest()
-    except Exception:
-        return None
-
-
 class RunnerStore:
     """A worker's name → runner map, rebuilt lazily from pickled work specs.
 
@@ -275,24 +258,10 @@ class BatchRunner:
         )
         self._elaborator = Elaborator(netlist)
         self._serial_fallback_warned = False
-        self._netlist_digest: Optional[str] = None
-        self._netlist_digest_known = False
         #: Cumulative recovery counters of every pooled ``run_many`` on this
         #: runner (respawns/retries/timeouts/bisections/quarantines); see
         #: :class:`~repro.engine.result.SupervisionStats`.
         self.supervision = SupervisionStats()
-
-    def netlist_digest(self) -> Optional[str]:
-        """:func:`content_digest` of the netlist, computed once per runner.
-
-        The result cache of :mod:`repro.service` builds its
-        content-addressed keys from it; closure-carrying netlists that
-        cannot be pickled return None and are simply not cacheable.
-        """
-        if not self._netlist_digest_known:
-            self._netlist_digest_known = True
-            self._netlist_digest = content_digest(self.netlist)
-        return self._netlist_digest
 
     # -- single evaluation --------------------------------------------------
     def run(

@@ -1317,18 +1317,15 @@ def replay_binding(model: ElaboratedModel, trace) -> Optional[Tuple]:
     never saw it done, with *known* False, so reaching it leaves the row);
     and whether that count is known.  *trace* is a
     :class:`~repro.core.golden.FiringTrace`.  Returns None when the trace
-    was not recorded on this layout's processes (other names, or an oracle
-    the trace lacks).
+    was recorded on another netlist: its
+    :attr:`~repro.core.netlist.Netlist.identity` differs from this model's.
     """
-    layout = model.layout
-    if trace.process_names != tuple(layout.proc_names):
+    if trace.netlist_identity != model.netlist.identity:
         return None
-    hooks = layout_shape(layout).key[-1]
+    hooks = layout_shape(model.layout).key[-1]
     done: List[int] = []
     known: List[bool] = []
-    for p, (done_ovr, _, req_ovr, _, _) in enumerate(hooks):
-        if model.relaxed and req_ovr and trace.oracle[p] is None:
-            return None
+    for p, (done_ovr, _, _, _, _) in enumerate(hooks):
         at = trace.done_at[p]
         # Without an is_done override the flag is constantly False (the
         # generated code never reads its threshold).

@@ -167,7 +167,7 @@ class CompiledKernel(SimKernel):
         Returns ``(firing counters, outcome, None)``, or ``(None, None,
         reason)`` when the row must run in full: the run needs what the
         trace lacks (token values, schedule samples, a firing past the
-        trace's end) or the trace belongs to other processes.
+        trace's end) or the trace was recorded on another netlist.
         """
         if plan is not None:
             return None, None, "steady-state detection armed"
@@ -176,7 +176,7 @@ class CompiledKernel(SimKernel):
         trace = controls.replay
         data = replay_binding(self.model, trace)
         if data is None:
-            return None, None, "trace recorded on other processes"
+            return None, None, "trace recorded on another netlist"
         run_fn = compiled_run_fn(
             self.model, instruments, stop_mode,
             horizon=controls.horizon is not None, replay=True,

@@ -29,7 +29,7 @@ class BatchEvaluator:
     *workers* processes; simulation errors propagate as they are raised.
 
     With *service* each layout is registered once through
-    ``service.ensure_layout`` (digest-derived names, so equal netlists share
+    ``service.ensure_layout`` (identity-derived names, so equal netlists share
     caches) and each call is one ``submit`` with *priority* and
     *on_result*.  *workers* is ignored: the service owns its fan-out.
     Under ``on_error="raise"`` a failed or cancelled row raises one

@@ -144,12 +144,6 @@ def certify_model(model: ElaboratedModel) -> Optional[Tuple[List[int], bool]]:
     return dynamic, any_complete
 
 
-def dynamic_signature_indices(model: ElaboratedModel) -> Optional[List[int]]:
-    """Back-compat view of :func:`certify_model`: the dynamic indices only."""
-    certification = certify_model(model)
-    return None if certification is None else certification[0]
-
-
 def channel_offset_pairs(model: ElaboratedModel) -> List[Tuple[int, int]]:
     """Deduplicated ``(src_proc, dest_proc)`` pairs, one per WP2-relevant channel."""
     layout = model.layout

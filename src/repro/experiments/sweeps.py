@@ -112,8 +112,6 @@ def _cpu_throughputs(
     or *service* when given.  Runs are uninstrumented: the sweeps only
     consume cycle counts.
     """
-    # The golden run mutates the live netlist, and service layout names and
-    # cache keys hash it: keep it before the layouts are registered.
     golden = cpu.run_golden(record_trace=False).cycles
     evaluator = BatchEvaluator.wrappers(
         cpu.netlist, "sweep", kernel=kernel, workers=workers,

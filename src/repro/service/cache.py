@@ -14,20 +14,22 @@ addressed by the *content* of its inputs and replayed for free on any later
 request with the same address:
 
 ``key = sha256(schema version,
-              netlist content digest,          # sha256 of the pickled netlist
+              netlist identity,                # sha256 of the netlist as built
               kernel name,
               wrapper flavour, queue capacity, RS capacity,
               sorted per-channel relay-station counts,
               run-controls signature)``        # stop condition, bounds, ...
 
-The netlist digest covers everything the structural
+The netlist identity (:attr:`~repro.core.netlist.Netlist.identity`, the
+sha256 of its pickle, fixed when it is built, so runs never change it)
+covers everything the structural
 :func:`~repro.engine.codegen.model_signature` deliberately leaves out
 (process programs, initial registers and memory, initial channel tokens); a
-netlist that cannot be pickled has no digest and is simply *uncacheable* —
-misses are always sound, only hits must be justified.  The configuration
-*label* is deliberately excluded (two rows asking for the same counts under
-different names share one simulation; the cached result is re-labelled per
-request), and the steady-state switches are *included*: counts would match
+netlist that cannot be pickled is not content-addressed and is simply
+*uncacheable* — misses are always sound, only hits must be justified.  The
+configuration *label* is deliberately excluded (two rows asking for the
+same counts under different names share one simulation; the cached result
+is re-labelled per request), and the steady-state switches are *included*: counts would match
 either way, but the ``period``/``warmup_cycles``/``extrapolated`` metadata of
 the result would not, and a cache must return byte-identical answers.
 
@@ -112,23 +114,23 @@ def result_key(
 ) -> Optional[str]:
     """The content-address of one (runner, normalised item, controls) request.
 
-    None means "do not cache this": the netlist cannot be fingerprinted or
-    the controls carry an observer.  The sha256 runs over the ``repr`` of a
+    None means "do not cache this": the netlist is not content-addressed
+    (it cannot be pickled) or the controls carry an observer.  The sha256 runs over the ``repr`` of a
     tuple of scalars, strings and nested tuples — canonical by construction.
     """
-    digest = runner.netlist_digest()
-    if digest is None:
+    netlist = runner.netlist
+    if not netlist.content_addressed:
         return None
     controls_sig = controls_signature(controls)
     if controls_sig is None:
         return None
     configuration, rs_counts, capacity = item
     counts, _ = resolve_rs_counts(
-        runner.netlist, rs_counts=rs_counts, configuration=configuration
+        netlist, rs_counts=rs_counts, configuration=configuration
     )
     components = (
         CACHE_SCHEMA_VERSION,
-        digest,
+        netlist.identity,
         runner.kernel_name,
         runner.relaxed,
         runner.queue_capacity if capacity is None else capacity,

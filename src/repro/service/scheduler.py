@@ -55,13 +55,15 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.exceptions import SimulationError
 from ..core.netlist import Netlist
+from ..core.relay_station import RelayStation
+from ..core.shell import DEFAULT_QUEUE_CAPACITY
 from ..engine.batch import (
     BatchItem,
     BatchRunner,
     MultiNetlistRunner,
     TaggedItem,
 )
-from ..engine.kernel import RunControls
+from ..engine.kernel import RunControls, resolve_kernel_name
 from ..engine.result import SupervisionStats
 from .cache import ResultCache, relabel, result_key
 from .jobs import Job, JobSet, JobStatus
@@ -203,52 +205,39 @@ class EvaluationService:
         """Register (or find) a layout for *netlist* and return its name.
 
         Without *name* a deterministic one is derived from the netlist's
-        content digest and the runner parameters, so repeated calls with an
-        equal netlist — even a freshly rebuilt copy — resolve to the same
+        :attr:`~repro.core.netlist.Netlist.identity` and the runner
+        parameters, so repeated calls with an equal netlist — even a freshly
+        rebuilt copy, or the same one after it has run — resolve to the same
         layout and therefore the same caches.  With *name*, a registered
-        layout is reused only when its netlist content matches; a mismatch
-        is an error (silently swapping netlists under one name would poison
-        every consumer grouping results by layout).
+        layout is reused only when its netlist has the same identity; a
+        mismatch is an error (silently swapping netlists under one name
+        would poison every consumer grouping results by layout).
         """
-        with self._lock:
-            probe = BatchRunner(
-                netlist,
-                relaxed=relaxed,
-                kernel=kernel,
-                **runner_kwargs,
+        kernel_name = resolve_kernel_name(kernel)
+        queue_capacity = runner_kwargs.get("queue_capacity", DEFAULT_QUEUE_CAPACITY)
+        rs_capacity = runner_kwargs.get("rs_capacity", RelayStation.RS_CAPACITY)
+        if name is None:
+            name = (
+                f"nl-{netlist.identity[:12]}-{'wp2' if relaxed else 'wp1'}"
+                f"-{kernel_name}-q{queue_capacity}-r{rs_capacity}"
             )
-            digest = probe.netlist_digest() or f"id{id(netlist):x}"
-            if name is None:
-                name = (
-                    f"nl-{digest[:12]}-{'wp2' if relaxed else 'wp1'}"
-                    f"-{probe.kernel_name}-q{probe.queue_capacity}"
-                    f"-r{probe.rs_capacity}"
-                )
+        with self._lock:
             existing = self._runners.get(name)
-            if existing is not None:
-                # Undigestable (unpicklable) netlists have no content
-                # address, so only object identity can prove equality —
-                # None == None must NOT alias two different netlists.
-                same_netlist = (
-                    existing.netlist is netlist
-                    or (
-                        existing.netlist_digest() is not None
-                        and existing.netlist_digest() == probe.netlist_digest()
-                    )
-                )
-                if (
-                    same_netlist
-                    and existing.relaxed == relaxed
-                    and existing.kernel_name == probe.kernel_name
-                    and existing.queue_capacity == probe.queue_capacity
-                    and existing.rs_capacity == probe.rs_capacity
-                ):
-                    return name
+            if existing is None:
+                self._register(name, BatchRunner(
+                    netlist, relaxed=relaxed, kernel=kernel, **runner_kwargs
+                ))
+            elif (
+                existing.netlist.identity != netlist.identity
+                or existing.relaxed != relaxed
+                or existing.kernel_name != kernel_name
+                or existing.queue_capacity != queue_capacity
+                or existing.rs_capacity != rs_capacity
+            ):
                 raise SimulationError(
                     f"layout {name!r} is already registered with a different "
                     "netlist or runner parameters"
                 )
-            self._register(name, probe)
         return name
 
     def _register(self, name: str, runner: BatchRunner) -> None:

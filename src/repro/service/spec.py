@@ -307,7 +307,7 @@ class SpecResolver:
         registered = self.service.layouts
         if wanted in registered:
             return wanted
-        # Derived layout names embed the netlist content digest
+        # Derived layout names embed the netlist identity
         # (`nl-<digest12>-…`); an unambiguous digest prefix is an address.
         matches = [
             name for name in registered if _digest(name).startswith(wanted)

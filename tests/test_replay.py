@@ -166,9 +166,9 @@ class TestFiringTrace:
         cpu, _ = _cpu("sort")
         golden = cpu.run_golden(record_trace=False)
         trace = golden.firing_trace
-        assert trace.process_names == tuple(cpu.netlist.processes)
+        assert trace.netlist_identity == cpu.netlist.identity
         assert trace.firings == golden.cycles
-        cu = trace.process_names.index(cpu.control_unit.name)
+        cu = list(cpu.netlist.processes).index(cpu.control_unit.name)
         assert trace.done_at[cu] == golden.cycles
         for index, process in enumerate(cpu.netlist.processes.values()):
             if overrides_hook(process, "required_ports"):
@@ -238,7 +238,7 @@ class TestTheorem:
         with _RecordedOracles(cpu.netlist) as recorded:
             result = runner.run(rs_counts=rs, stop_process=cpu.control_unit.name)
         recorded.assert_matches(trace)
-        cu = trace.process_names.index(cpu.control_unit.name)
+        cu = list(cpu.netlist.processes).index(cpu.control_unit.name)
         assert result.firings[cpu.control_unit.name] == trace.done_at[cu]
 
     @settings(max_examples=30, deadline=None)
@@ -284,7 +284,7 @@ class TestTheorem:
         result = BatchRunner(netlist, relaxed=relaxed).run(
             rs_counts=rs, stop_process=workload.stop_process
         )
-        stop = trace.process_names.index(workload.stop_process)
+        stop = list(netlist.processes).index(workload.stop_process)
         assert result.firings[workload.stop_process] == trace.done_at[stop]
 
 
@@ -374,14 +374,18 @@ class TestReplayedRows:
             assert replayed.fallback == "trace exhausted"
 
     def test_foreign_trace_is_not_replayed(self):
+        # Every CPU program has the same process names: only the netlist
+        # identity tells the matmul golden trace from the sort one.
         cpu, _ = _cpu("sort")
-        foreign = dataclasses.replace(
-            _cpu("matmul")[1], process_names=("a", "b", "c", "d", "e")
-        )
-        row = _row(cpu.netlist, "compiled", True, {},
-                   stop_process=cpu.control_unit.name, replay=foreign)
-        assert row.kernel == "compiled"
-        assert row.fallback == "trace recorded on other processes"
+        _, foreign = _cpu("matmul")
+        stop = cpu.control_unit.name
+        for relaxed in (False, True):
+            row = _row(cpu.netlist, "compiled", relaxed, {},
+                       stop_process=stop, replay=foreign)
+            assert row == _row(cpu.netlist, "compiled", relaxed, {},
+                               stop_process=stop)
+            assert row.kernel == "compiled"
+            assert row.fallback == "trace recorded on another netlist"
 
     def test_pool_shards_replay(self):
         cpu, trace = _cpu("sort")

@@ -217,7 +217,7 @@ class TestCacheKeys:
     def test_unpicklable_netlist_is_uncacheable(self):
         netlist, rs_counts = ring_netlist(3, rs_total=2)  # closure processes
         runner = BatchRunner(netlist)
-        assert runner.netlist_digest() is None
+        assert not netlist.content_addressed
         item = runner._normalise_item(rs_counts, None)
         assert result_key(runner, item, RunControls()) is None
 
@@ -827,6 +827,30 @@ class TestHistoryFreeRows:
             after_ring = cpu_row(service)
         assert expected.extrapolated and expected.period is not None
         assert after_ring == expected
+
+
+class TestIdentitySurvivesRuns:
+    """A netlist's identity is fixed when it is built; runs never move it."""
+
+    def test_layout_name_and_cache_key_survive_runs(self):
+        cpu = build_pipelined_cpu(_sort6().program)
+        twin = build_pipelined_cpu(_sort6().program).netlist
+        config = RSConfiguration.uniform(1, exclude=("CU-IC",))
+
+        def key(netlist):
+            runner = BatchRunner(netlist, relaxed=True)
+            item = runner._normalise_item(config, None)
+            return result_key(runner, item, RunControls(stop_process="CU"))
+
+        with EvaluationService() as service:
+            layout = service.ensure_layout(cpu.netlist, relaxed=True)
+            cpu.run_golden(record_trace=False)
+            assert service.ensure_layout(cpu.netlist, relaxed=True) == layout
+            service.submit([(layout, config)], stop_process="CU").ordered_results()
+            assert service.ensure_layout(cpu.netlist, relaxed=True) == layout
+            assert service.layouts == [layout]
+        assert key(cpu.netlist) is not None
+        assert key(cpu.netlist) == key(twin)
 
 
 # ---------------------------------------------------------------------------
