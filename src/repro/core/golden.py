@@ -7,8 +7,8 @@ golden run provides (a) the reference cycle count used to normalise the
 throughput of the wire-pipelined systems (the paper's "the throughput without
 WP is of course 1.0"), (b) the reference τ-filtered traces for the
 N-equivalence checks, and (c) the :class:`FiringTrace` of every process'
-oracle answers and done flags by firing index, from which done-stop rows are
-timed without firing the processes again.
+oracle answers and done flags by firing index, left on the netlist as
+``Netlist.firing_trace``: its batch rows replay it (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class FiringTrace:
     the process' state after *k* firings, and with it its WP2 oracle answer
     and its done flag, is the same under every relay-station vector and
     both wrappers.  Only the timing differs.  The compiled kernel's replay
-    layout (:mod:`repro.engine.codegen`) therefore times a done-stop row
-    from this trace alone, without calling ``fire``.
+    layout (:mod:`repro.engine.codegen`) therefore times a batch row of the
+    traced netlist from this trace alone, without calling ``fire``.
 
     Oracle answers are interned as bitmasks over the process' input ports
     (bit *i* set: ``input_ports[i]`` is required; ``None`` answers are every
@@ -139,8 +139,6 @@ class GoldenResult:
     trace: SystemTrace
     halted: bool
     final_values: Dict[str, Any] = field(default_factory=dict)
-    #: The run's :class:`FiringTrace`, or None when it could not be recorded.
-    firing_trace: Optional[FiringTrace] = None
 
     @property
     def throughput(self) -> float:
@@ -237,13 +235,13 @@ class GoldenSimulator:
                 drain_remaining -= 1
 
         firings = {name: process.firings for name, process in netlist.processes.items()}
+        netlist.firing_trace = recorder.result(cycles)
         return GoldenResult(
             cycles=cycles,
             firings=firings,
             trace=trace,
             halted=halted,
             final_values=dict(channel_values),
-            firing_trace=recorder.result(cycles),
         )
 
     def _stop_condition(self, stop_process: Optional[str]) -> bool:

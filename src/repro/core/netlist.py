@@ -49,6 +49,10 @@ class Netlist:
     or memory image in place after construction.
     """
 
+    #: The :class:`~repro.core.golden.FiringTrace` its latest golden run left
+    #: (None: no run yet, or unrecordable); not part of ``identity`` (DESIGN.md §3).
+    firing_trace = None
+
     def __init__(
         self,
         processes: Iterable[Process],

@@ -202,8 +202,8 @@ def simulated_throughput_objective(
     private runner: candidates the search revisits (greedy re-probes,
     annealing moves, restarts) are answered from the content-addressed
     result cache, identical candidates submitted by concurrent searches
-    deduplicate in flight, and the pool/period-memory are shared with every
-    other consumer of the service.  *priority* orders this objective's jobs
+    deduplicate in flight, and the worker pool is shared with every other
+    consumer of the service.  *priority* orders this objective's jobs
     against other submitters.  On either path ``on_error="raise"`` raises a
     :class:`~repro.core.exceptions.SimulationError` on infeasible corners;
     ``"zero"`` scores them 0.0.

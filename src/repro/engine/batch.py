@@ -13,6 +13,8 @@ needed.  :class:`BatchRunner` serves that shape directly:
 * each evaluation is bind → kernel → run: its steady-state outcome (see
   :mod:`repro.engine.steady_state`) depends only on its own model, controls
   and instruments, never on what the runner evaluated before;
+* a batch row of a golden-traced netlist replays its ``firing_trace`` on the
+  compiled kernel where it can (DESIGN.md §3); :meth:`run` never replays;
 * :meth:`run_many` fans out through the **batch executor** (see
   :mod:`repro.engine.supervised_pool`): the configurations are chunked
   into shards and one dispatcher leases them to workers — local processes
@@ -318,7 +320,12 @@ class BatchRunner:
             # except clause below like any simulator error; hard faults
             # escape to the supervision layer.
             maybe_fault_item(model.configuration_label)
-            result = kernel.run(controls, self.instruments)
+            # The one replay decision; the kernel's checks decide (DESIGN.md §3).
+            trace = self.netlist.firing_trace
+            if trace is not None and self.kernel_name == "compiled":
+                result = kernel.run(controls, self.instruments, replay=trace)
+            else:
+                result = kernel.run(controls, self.instruments)
         except (DeadlockError, SimulationError) as exc:
             if on_error == "raise":
                 raise

@@ -16,16 +16,15 @@ per-cycle snapshot is one tuple of integers the loop already maintains
 analytic jump over the detected period's repetitions happens inside the
 generated frame.
 
-Given a golden run's :class:`~repro.core.golden.FiringTrace`
-(``RunControls.replay``), the kernel times the row with the **replay
-layout** instead: no process is fired, the oracle answers and done flags
-come from the trace by firing index (the paper's equivalence argument makes
-them schedule-independent, DESIGN.md §3).  A row the trace cannot answer —
-an oracle read past its end, a done flag it never saw, a firing the golden
-run never made — runs again in full; ``LidResult.kernel`` says
-``"replay"`` or ``"compiled"`` and ``LidResult.fallback`` why a requested
-replay did not answer the row.  The run classifies its model for
-steady-state detection once: the plan's certification keys the code cache.
+Offered a golden run's :class:`~repro.core.golden.FiringTrace` (*replay*:
+:class:`~repro.engine.batch.BatchRunner` offers it on every batch row of a
+traced netlist), the kernel times the row with the **replay layout**: no
+process is fired, the oracle answers and done flags come from the trace by
+firing index (the paper's equivalence argument makes them
+schedule-independent, DESIGN.md §3).  A row the trace cannot answer runs in
+full; ``LidResult.kernel`` says ``"replay"`` or ``"compiled"`` and
+``LidResult.fallback`` why.  The run classifies its model for steady-state
+detection once: the plan's certification keys the code cache.
 
 Semantics are pinned to the reference kernel by the property suites in
 ``tests/test_engine.py`` and ``tests/test_steady_state.py``: cycles,
@@ -41,6 +40,9 @@ the delegation is unobservable.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from ..core.golden import FiringTrace
 from ..core.shell import ShellStats
 from ..core.traces import SystemTrace
 from .codegen import compiled_run_fn, replay_binding, resolve_stop, run_binding
@@ -55,7 +57,8 @@ class CompiledKernel(SimKernel):
 
     name = "compiled"
 
-    def run(self, controls: RunControls, instruments: InstrumentSet) -> LidResult:
+    def run(self, controls: RunControls, instruments: InstrumentSet,
+            replay: Optional[FiringTrace] = None) -> LidResult:
         model = self.model
         controls.validate(model)
         if controls.on_cycle is not None:
@@ -73,9 +76,9 @@ class CompiledKernel(SimKernel):
             asymptotic=controls.asymptotic(),
         )
         fir = outcome = fallback = None
-        if controls.replay is not None:
+        if replay is not None:
             fir, outcome, fallback = self._replay(
-                controls, instruments, plan, stop_mode, stop_arg
+                replay, controls, instruments, plan, stop_mode, stop_arg
             )
         kernel = "compiled" if outcome is None else "replay"
         if outcome is None:
@@ -160,9 +163,9 @@ class CompiledKernel(SimKernel):
         )
         return fir, outcome
 
-    def _replay(self, controls: RunControls, instruments: InstrumentSet, plan,
-                stop_mode, stop_arg):
-        """Time the row from ``controls.replay`` with the replay layout.
+    def _replay(self, trace: FiringTrace, controls: RunControls,
+                instruments: InstrumentSet, plan, stop_mode, stop_arg):
+        """Time the row from *trace* with the replay layout.
 
         Returns ``(firing counters, outcome, None)``, or ``(None, None,
         reason)`` when the row must run in full: the run needs what the
@@ -173,7 +176,6 @@ class CompiledKernel(SimKernel):
             return None, None, "steady-state detection armed"
         if instruments.trace:
             return None, None, "value trace requested"
-        trace = controls.replay
         data = replay_binding(self.model, trace)
         if data is None:
             return None, None, "trace recorded on another netlist"

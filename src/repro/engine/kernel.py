@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Type
 
 from ..core.exceptions import NetlistError, SimulationError
-from ..core.golden import FiringTrace
 from .elaboration import ElaboratedModel
 from .instrumentation import InstrumentSet
 from .result import LidResult
@@ -92,13 +91,6 @@ class RunControls:
     #: Base of the capped exponential retry backoff, seconds
     #: (``retry_backoff * 2^(attempt-1)``, capped at 1s).
     retry_backoff: float = 0.05
-    #: The :class:`~repro.core.golden.FiringTrace` of a golden run of this
-    #: netlist: the compiled kernel then times the row with its replay
-    #: layout, calling no ``fire`` (DESIGN.md §3), and runs it in full when
-    #: the trace cannot answer.  Replayed and full rows are identical, so
-    #: like the supervision knobs it stays out of the result-cache
-    #: signature; the other kernels ignore it.
-    replay: Optional[FiringTrace] = None
 
     def validate(self, model: ElaboratedModel) -> None:
         """Reject stop conditions referencing unknown processes."""

@@ -186,8 +186,8 @@ class LidResult:
     extrapolated: bool = False
     #: Provenance, outside equality and the canonical form: the kernel that
     #: produced the counts (``"replay"`` for the compiled kernel's replay
-    #: layout; None on a result rebuilt from its dict form) and, when a
-    #: requested replay ran in full instead, why (e.g. ``"trace exhausted"``).
+    #: layout; None on a result rebuilt from its dict form) and, when a row
+    #: offered a trace ran in full, why (e.g. ``"trace exhausted"``).
     kernel: Optional[str] = field(default=None, compare=False)
     fallback: Optional[str] = field(default=None, compare=False)
 

@@ -14,10 +14,9 @@ processor.  The row list mirrors the paper's; the "Optimal" rows are produced
 by the configuration optimiser (see :func:`optimal_configuration` for the
 interpretation, also documented in EXPERIMENTS.md).
 
-Every row's WP1 and WP2 runs stop when the control unit halts, so the
-golden run's firing trace answers every unit's oracle and done flag by
-firing index: :func:`evaluate_rows` replays the batched rows from it on the
-compiled kernel instead of running the units again (DESIGN.md §3).
+Every row's runs stop when the control unit halts, so the golden run's firing
+trace (left on the CPU's netlist) answers every unit's oracle and done flag:
+the batched rows of :func:`evaluate_rows` replay it (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -28,13 +27,12 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from ..core.config import RSConfiguration
 from ..core.equivalence import n_equivalent
-from ..core.golden import FiringTrace, GoldenResult
+from ..core.golden import GoldenResult
 from ..core.optimizer import SearchSpace, annealing_search, exhaustive_search
 from ..core.static_analysis import make_link_bound_evaluator, throughput_bound
 from ..cpu.machine import CaseStudyCpu, build_multicycle_cpu, build_pipelined_cpu
 from ..cpu.topology import LINK_CU_IC, TABLE1_LINK_ORDER
 from ..cpu.workloads import Workload, make_extraction_sort, make_matrix_multiply
-from ..engine.kernel import resolve_kernel_name
 
 
 @dataclass
@@ -221,12 +219,11 @@ def evaluate_rows(
     without the check report ``equivalent=None``.
 
     Done-stop batched rows on the compiled kernel are **replayed**: they run
-    on the golden run's own netlist, so its
-    :class:`~repro.core.golden.FiringTrace` answers every unit's oracle and
-    done flag by firing index, and the kernel's replay layout times the row
-    without calling any unit's ``fire`` (DESIGN.md §3, "Replay layout").
-    A row the trace cannot answer runs in full; the rows are identical
-    either way.  Horizon rows (their looped program has no finite trace),
+    on the golden run's own netlist, which carries its
+    :class:`~repro.core.golden.FiringTrace`, so the kernel's replay layout
+    times the row without calling any unit's ``fire`` (DESIGN.md §3).  A
+    row the trace cannot answer runs in full; the rows are identical either
+    way.  Horizon rows (a fresh looped program no golden run traced),
     equivalence-checked rows and the other kernels simulate in full.
 
     With *service* (an :class:`~repro.service.EvaluationService`) the rows
@@ -256,9 +253,6 @@ def evaluate_rows(
     )
     if not check_equivalence:
         row_cpu = cpu
-        replay = None
-        if horizon is None and resolve_kernel_name(kernel) == "compiled":
-            replay = golden.firing_trace
         if horizon is not None and not workload.looping:
             # Horizon rows measure asymptotic throughput: run the looping
             # variant (the one-shot programs halt long before a meaningful
@@ -269,7 +263,7 @@ def evaluate_rows(
                 row_cpu, configurations, golden,
                 max_cycles=max_cycles, kernel=kernel, workers=workers,
                 progress=progress, horizon=horizon, steady_state=steady_state,
-                service=service, replay=replay,
+                service=service,
             )
         )
         return result
@@ -300,7 +294,6 @@ def _evaluate_rows_batched(
     horizon: Optional[int] = None,
     steady_state: bool = True,
     service=None,
-    replay: Optional[FiringTrace] = None,
 ) -> List[Table1Row]:
     from ..engine.evaluator import BatchEvaluator
 
@@ -329,7 +322,7 @@ def _evaluate_rows_batched(
     wp1_results, wp2_results = evaluator.run_wrappers(
         configurations, stop_process=cpu.control_unit.name,
         max_cycles=max_cycles, horizon=horizon, steady_state=steady_state,
-        steady_state_window=horizon, replay=replay,
+        steady_state_window=horizon,
     )
 
     def row_throughput(summary) -> float:

@@ -25,12 +25,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Channel, FiringTrace, FunctionProcess, Netlist, run_golden
+from repro.core import (
+    Channel, FiringTrace, FunctionProcess, Netlist, RSConfiguration, run_golden,
+)
 from repro.core.exceptions import DeadlockError, SimulationError
 from repro.core.process import SCHEDULE_INERT, PassthroughProcess, overrides_hook
 from repro.cpu import build_pipelined_cpu
 from repro.cpu.workloads import make_extraction_sort, make_matrix_multiply
-from repro.engine import BatchRunner, InstrumentSet, elaborate
+from repro.engine import BatchRunner, InstrumentSet, MultiNetlistRunner, elaborate
 from repro.engine.batch import BatchResult
 from repro.engine.codegen import compiled_run_fn, model_signature
 from repro.engine.compiled import CompiledKernel
@@ -41,17 +43,28 @@ from repro.workloads.graph import make_pagerank_workload
 _CPUS = {}
 
 
+def _program(workload: str):
+    return (
+        make_extraction_sort(length=6, seed=7)
+        if workload == "sort"
+        else make_matrix_multiply(size=2, seed=7)
+    ).program
+
+
 def _cpu(workload: str):
-    """One small pipelined CPU per workload, shared by the examples."""
+    """One small pipelined CPU per workload, golden-run (so its netlist
+    carries its firing trace), shared by the examples."""
     if workload not in _CPUS:
-        program = (
-            make_extraction_sort(length=6, seed=7)
-            if workload == "sort"
-            else make_matrix_multiply(size=2, seed=7)
-        ).program
-        cpu = build_pipelined_cpu(program)
-        _CPUS[workload] = (cpu, cpu.run_golden(record_trace=False).firing_trace)
+        cpu = build_pipelined_cpu(_program(workload))
+        cpu.run_golden(record_trace=False)
+        _CPUS[workload] = (cpu, cpu.netlist.firing_trace)
     return _CPUS[workload]
+
+
+def _twin(workload: str) -> Netlist:
+    """A freshly built twin of ``_cpu(workload)``'s netlist: same identity,
+    no golden run, so its rows simulate in full."""
+    return build_pipelined_cpu(_program(workload)).netlist
 
 
 def _mask(process, answer) -> int:
@@ -165,7 +178,7 @@ class TestFiringTrace:
     def test_recorded_without_a_knob(self):
         cpu, _ = _cpu("sort")
         golden = cpu.run_golden(record_trace=False)
-        trace = golden.firing_trace
+        trace = cpu.netlist.firing_trace
         assert trace.netlist_identity == cpu.netlist.identity
         assert trace.firings == golden.cycles
         cu = list(cpu.netlist.processes).index(cpu.control_unit.name)
@@ -198,7 +211,8 @@ class TestFiringTrace:
                 Channel("ba", "b", "out", "a", "in", initial=0),
             ],
         )
-        return run_golden(netlist, max_cycles=10, stop_process="a").firing_trace
+        run_golden(netlist, max_cycles=10, stop_process="a")
+        return netlist.firing_trace
 
     def test_unknown_oracle_port_drops_the_trace(self):
         assert self._pair(oracle=lambda k: frozenset({"in"})) is not None
@@ -244,7 +258,8 @@ class TestTheorem:
     @settings(max_examples=30, deadline=None)
     @given(netlist=abiding_netlists(), relaxed=st.booleans(), data=st.data())
     def test_contract_abiding_random_netlists(self, netlist, relaxed, data):
-        trace = run_golden(netlist, max_cycles=200).firing_trace
+        run_golden(netlist, max_cycles=200)
+        trace = netlist.firing_trace
         rs = _rs_vector(data.draw, netlist, limit=3)
         capacity = data.draw(st.integers(min_value=1, max_value=3))
         with _RecordedOracles(netlist) as recorded:
@@ -263,7 +278,8 @@ class TestTheorem:
         # the ports their oracle leaves out, so only WP1 (which always feeds
         # the real token) reproduces the golden states.
         netlist = random_topology(seed=seed, with_oracles=True).netlist
-        trace = run_golden(netlist, max_cycles=200).firing_trace
+        run_golden(netlist, max_cycles=200)
+        trace = netlist.firing_trace
         with _RecordedOracles(netlist) as recorded:
             BatchRunner(netlist).run(
                 rs_counts=_rs_vector(data.draw, netlist, limit=3), horizon=150
@@ -277,9 +293,8 @@ class TestTheorem:
             [(0, 1), (1, 2), (2, 0), (0, 2), (3, 1)], n_pe=3, n_rounds=3
         )
         netlist = workload.netlist
-        trace = run_golden(
-            netlist, stop_process=workload.stop_process, max_cycles=5_000
-        ).firing_trace
+        run_golden(netlist, stop_process=workload.stop_process, max_cycles=5_000)
+        trace = netlist.firing_trace
         rs = _rs_vector(data.draw, netlist, limit=3)
         result = BatchRunner(netlist, relaxed=relaxed).run(
             rs_counts=rs, stop_process=workload.stop_process
@@ -308,14 +323,14 @@ class TestReplayedRows:
         data=st.data(),
     )
     def test_cpu_rows_equal_full_and_reference(self, workload, relaxed, data):
-        cpu, trace = _cpu(workload)
+        cpu, _ = _cpu(workload)
         rs = _rs_vector(data.draw, cpu.netlist)
         stop = cpu.control_unit.name
-        replayed = _row(cpu.netlist, "compiled", relaxed, rs,
-                        stop_process=stop, replay=trace)
+        replayed = _row(cpu.netlist, "compiled", relaxed, rs, stop_process=stop)
         assert replayed.kernel == "replay" and replayed.fallback is None
-        for kernel in ("compiled", "reference"):
-            full = _row(cpu.netlist, kernel, relaxed, rs, stop_process=stop)
+        for netlist, kernel in ((_twin(workload), "compiled"),
+                                (cpu.netlist, "reference")):
+            full = _row(netlist, kernel, relaxed, rs, stop_process=stop)
             assert full.kernel == kernel
             assert (replayed.cycles, replayed.firings, replayed.halted) == (
                 full.cycles, full.firings, full.halted
@@ -326,14 +341,15 @@ class TestReplayedRows:
     @given(netlist=abiding_netlists(), relaxed=st.booleans(), data=st.data())
     def test_random_rows_equal_reference(self, netlist, relaxed, data):
         # Firing targets stop the row; a target past the trace falls back.
-        trace = run_golden(netlist, max_cycles=60).firing_trace
+        run_golden(netlist, max_cycles=60)
+        assert netlist.firing_trace is not None
         rs = _rs_vector(data.draw, netlist, limit=3)
         target = {"p0": data.draw(st.integers(min_value=1, max_value=80))}
         controls = dict(
             target_firings=target, max_cycles=2_000, deadlock_limit=300,
             steady_state=False,  # a detector would take the row instead
         )
-        replayed = _row(netlist, "compiled", relaxed, rs, replay=trace, **controls)
+        replayed = _row(netlist, "compiled", relaxed, rs, **controls)
         full = _row(netlist, "reference", relaxed, rs, **controls)
         assert replayed == full
         if isinstance(replayed, BatchResult) and replayed.kernel == "compiled":
@@ -345,20 +361,20 @@ class TestReplayedRows:
             [(0, 1), (1, 2), (2, 0), (0, 2), (3, 1)], n_pe=3, n_rounds=3
         )
         netlist = workload.netlist
-        trace = run_golden(netlist, stop_process=stop, max_cycles=5_000).firing_trace
+        run_golden(netlist, stop_process=stop, max_cycles=5_000)
         # The PE summaries arm a plain plan, which would take the row first.
         controls = dict(stop_process=stop, steady_state=False)
         for relaxed in (False, True):
             for rs in ({}, {name: 2 for name in netlist.channels}):
-                replayed = _row(netlist, "compiled", relaxed, rs,
-                                replay=trace, **controls)
+                replayed = _row(netlist, "compiled", relaxed, rs, **controls)
                 assert replayed.kernel == "replay"
                 assert replayed == _row(netlist, "reference", relaxed, rs, **controls)
 
     def test_truncated_trace_runs_in_full(self):
         cpu, trace = _cpu("matmul")
         half = trace.firings // 2
-        truncated = dataclasses.replace(
+        truncated = _twin("matmul")
+        truncated.firing_trace = dataclasses.replace(
             trace,
             firings=half,
             oracle=tuple(None if o is None else o[: half + 1] for o in trace.oracle),
@@ -366,9 +382,8 @@ class TestReplayedRows:
         )
         stop = cpu.control_unit.name
         for relaxed in (False, True):
-            replayed = _row(cpu.netlist, "compiled", relaxed, {},
-                            stop_process=stop, replay=truncated)
-            full = _row(cpu.netlist, "compiled", relaxed, {}, stop_process=stop)
+            replayed = _row(truncated, "compiled", relaxed, {}, stop_process=stop)
+            full = _row(_twin("matmul"), "compiled", relaxed, {}, stop_process=stop)
             assert replayed == full
             assert replayed.kernel == "compiled"
             assert replayed.fallback == "trace exhausted"
@@ -378,24 +393,29 @@ class TestReplayedRows:
         # identity tells the matmul golden trace from the sort one.
         cpu, _ = _cpu("sort")
         _, foreign = _cpu("matmul")
+        netlist = _twin("sort")
+        netlist.firing_trace = foreign
         stop = cpu.control_unit.name
         for relaxed in (False, True):
-            row = _row(cpu.netlist, "compiled", relaxed, {},
-                       stop_process=stop, replay=foreign)
-            assert row == _row(cpu.netlist, "compiled", relaxed, {},
+            row = _row(netlist, "compiled", relaxed, {}, stop_process=stop)
+            assert row == _row(_twin("sort"), "compiled", relaxed, {},
                                stop_process=stop)
             assert row.kernel == "compiled"
             assert row.fallback == "trace recorded on another netlist"
 
     def test_pool_shards_replay(self):
-        cpu, trace = _cpu("sort")
+        cpu, _ = _cpu("sort")
         items = [{name: k % 3 for name in cpu.netlist.channels} for k in range(4)]
-        runner = BatchRunner(cpu.netlist, relaxed=True)
         stop = cpu.control_unit.name
-        pooled = runner.run_many(items, workers=2, stop_process=stop, replay=trace)
-        serial = runner.run_many(items, stop_process=stop)
+        pooled = BatchRunner(cpu.netlist, relaxed=True).run_many(
+            items, workers=2, stop_process=stop
+        )
+        serial = BatchRunner(_twin("sort"), relaxed=True).run_many(
+            items, stop_process=stop
+        )
         assert pooled == serial
         assert [row.kernel for row in pooled] == ["replay"] * 4
+        assert [row.kernel for row in serial] == ["compiled"] * 4
 
 
 class TestReplaySource:
@@ -420,6 +440,118 @@ class TestReplaySource:
         assert compiled_run_fn(model, none, replay=True) is not compiled_run_fn(
             model, none
         )
+
+
+class TestReplayIsDerived:
+    """A golden run leaves its trace on its netlist: every batch row of that
+    netlist replays, whoever evaluates it; single runs never do."""
+
+    @pytest.mark.parametrize(
+        "workers, start_method",
+        [(1, None), (2, "fork"), (2, "spawn")],
+        ids=["serial", "fork", "spawn"],
+    )
+    def test_multi_netlist_rows_replay(self, workers, start_method):
+        sort, _ = _cpu("sort")
+        matmul, _ = _cpu("matmul")
+        netlists = {"sort": sort.netlist, "matmul": matmul.netlist}
+        per_layout = {"matmul": {"relaxed": True}}
+        items = [
+            (name, {chan: k % 3 for chan in netlist.channels})
+            for name, netlist in netlists.items()
+            for k in range(2)
+        ]
+        stop = sort.control_unit.name
+        rows = MultiNetlistRunner.from_netlists(netlists, per_layout).run_many(
+            items, workers=workers, start_method=start_method, stop_process=stop
+        )
+        reference = MultiNetlistRunner.from_netlists(
+            netlists, per_layout, kernel="reference"
+        ).run_many(items, stop_process=stop)
+        assert [row.kernel for row in rows] == ["replay"] * len(items)
+        assert rows == reference
+
+    def test_service_sweeps_deliver_replayed_rows(self):
+        from repro.experiments import mixed_workload_sweep, queue_capacity_sweep
+        from repro.service import EvaluationService
+
+        sort = make_extraction_sort(length=4, seed=7)
+        workloads = {"sort": sort, "matmul": make_matrix_multiply(size=2, seed=7)}
+        sweeps = [
+            lambda **kw: queue_capacity_sweep(
+                workload=sort, capacities=(2, 4), **kw
+            ).format(),
+            lambda **kw: "\n".join(
+                result.format()
+                for result in mixed_workload_sweep(
+                    workloads=workloads, depths=(0, 1), **kw
+                ).values()
+            ),
+        ]
+        for sweep in sweeps:
+            jobs = []
+            with EvaluationService() as service:
+                text = sweep(service=service, on_result=jobs.append)
+            assert jobs and all(not job.cached for job in jobs)
+            assert {job.result.kernel for job in jobs} == {"replay"}
+            assert text == sweep(kernel="reference")
+
+    def test_objective_after_golden_run_scores_the_full_simulation(
+        self, monkeypatch
+    ):
+        from repro.core.optimizer import simulated_throughput_objective
+        from repro.cpu.topology import TABLE1_LINK_ORDER
+
+        kernels = []
+        original = CompiledKernel.run
+
+        def spy(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            kernels.append(result.kernel)
+            return result
+
+        monkeypatch.setattr(CompiledKernel, "run", spy)
+        cpu, trace = _cpu("sort")
+        assignments = [
+            {link: (k + i) % 3 for i, link in enumerate(TABLE1_LINK_ORDER)}
+            for k in range(3)
+        ]
+        scores = {}
+        for name, netlist in (("traced", cpu.netlist), ("twin", _twin("sort"))):
+            objective = simulated_throughput_objective(
+                netlist, relaxed=True, golden_cycles=trace.firings,
+                stop_process=cpu.control_unit.name,
+            )
+            scores[name] = objective.many(assignments) + [objective(assignments[0])]
+        assert scores["traced"] == scores["twin"]
+        assert kernels == ["replay"] * 4 + ["compiled"] * 4
+
+    def test_single_runs_fire_the_units(self):
+        workload = make_extraction_sort(length=6, seed=4)
+        cpu = build_pipelined_cpu(workload.program)
+        cpu.run_golden(record_trace=False)
+        assert cpu.netlist.firing_trace is not None
+        cpu.netlist.reset()  # the data memory holds the unsorted image again
+        assert cpu.check_memory(workload.expected_memory) != {}
+        result = cpu.run_wire_pipelined(
+            configuration=RSConfiguration.uniform(1, exclude=("CU-IC",)),
+            relaxed=True,
+            drain=True,
+        )
+        assert result.kernel == "compiled" and result.fallback is None
+        assert cpu.check_memory(workload.expected_memory) == {}
+
+    def test_trace_is_left_on_the_netlist_and_replaced(self):
+        cpu = build_pipelined_cpu(_program("sort"))
+        identity = cpu.netlist.identity
+        assert cpu.netlist.firing_trace is None
+        golden = cpu.run_golden(record_trace=False)
+        full = cpu.netlist.firing_trace
+        assert full.firings == golden.cycles
+        assert pickle.loads(pickle.dumps(cpu.netlist)).firing_trace == full
+        cpu.run_golden(record_trace=False, max_cycles=50)
+        assert cpu.netlist.firing_trace.firings == 50
+        assert cpu.netlist.identity == identity
 
 
 class _CountingInert(PassthroughProcess):
@@ -448,16 +580,18 @@ def test_schedule_state_sampled_once_per_run():
 
 
 class TestTable1Plumbing:
-    def _controls(self, monkeypatch, **kwargs):
+    def _kernels(self, monkeypatch, **kwargs):
+        """The set of kernels that produced ``evaluate_rows``' batched rows."""
         from repro.engine.evaluator import BatchEvaluator
         from repro.experiments import table1
 
-        seen = []
+        seen = set()
         original = BatchEvaluator.run_wrappers
 
         def spy(self, items, **controls):
-            seen.append(controls.get("replay"))
-            return original(self, items, **controls)
+            results = original(self, items, **controls)
+            seen.update(row.kernel for rows in results for row in rows)
+            return results
 
         monkeypatch.setattr(BatchEvaluator, "run_wrappers", spy)
         workload = make_extraction_sort(length=4, seed=7)
@@ -466,16 +600,16 @@ class TestTable1Plumbing:
         return seen
 
     def test_done_stop_rows_replay_the_golden_trace(self, monkeypatch):
-        (replay,) = self._controls(monkeypatch)
-        assert isinstance(replay, FiringTrace)
+        assert self._kernels(monkeypatch) == {"replay"}
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"horizon": 3_000}, {"kernel": "reference"}, {"kernel": "fast"}],
+        "kwargs, kernel",
+        [({"horizon": 3_000}, "compiled"), ({"kernel": "reference"}, "reference"),
+         ({"kernel": "fast"}, "fast")],
         ids=["horizon", "reference", "fast"],
     )
-    def test_other_rows_simulate_in_full(self, monkeypatch, kwargs):
-        assert self._controls(monkeypatch, **kwargs) == [None]
+    def test_other_rows_simulate_in_full(self, monkeypatch, kwargs, kernel):
+        assert self._kernels(monkeypatch, **kwargs) == {kernel}
 
 
 class TestProvenance:
