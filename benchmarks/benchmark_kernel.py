@@ -8,8 +8,8 @@ the batch runner — and additionally measures how ``BatchRunner.run_many``
 scales when the same configuration batch is sharded across worker processes,
 the steady-state detector's speedup on long-horizon objective runs (10k and
 100k cycle horizons, enforced by ``check_perf_floor.py``), the
-looping-table1 CPU horizon measurement (certified ``schedule_state()``
-extrapolation vs full simulation, also enforced by ``check_perf_floor.py``),
+looping-table1 CPU horizon measurement (batched rows replaying the golden
+run's loop vs full simulation, also enforced by ``check_perf_floor.py``),
 the lockstep structure-of-arrays sweep (one vectorised ``run_many`` over N
 same-layout lanes vs N scalar runs, enforced by ``check_perf_floor.py
 --lockstep-floor``) and the mixed-workload multi-netlist batch smoke.
@@ -64,8 +64,8 @@ MIN_LOCKSTEP_VS_REFERENCE = 50.0
 MIN_LOCKSTEP_VS_COMPILED = 5.0
 LOCKSTEP_LANES = (16, 64, 256)
 LOCKSTEP_HORIZON = 600 if QUICK else 2_000
-#: Looping-table1 floor: a certified-extrapolated CPU horizon row must beat
-#: the same row without detection by this factor (the PR 4 acceptance bar).
+#: Looping-table1 floor: a replayed, extrapolated CPU horizon row must beat
+#: the same row simulated in full by this factor.
 MIN_CPU_STEADY_VS_FULL = 20.0
 #: Horizon of the looping-CPU measurement (big enough that the one-time
 #: detection cost — warmup plus two loop periods of snapshot keys — is well
@@ -237,14 +237,15 @@ def _measure_steady_state():
 
 
 def _measure_looped_cpu():
-    """Looping-table1 horizon rows: certified CPU extrapolation vs full runs.
+    """Looping-table1 horizon rows: replayed golden loop vs full runs.
 
     The Table 1 workload in its looping form (``repeat=True``) under the
-    "All 1 (no CU-IC)" row, both wrapper flavours, on the compiled kernel:
-    the five CPU units' certified ``schedule_state()`` summaries let the
-    steady-state detector extrapolate the horizon-bounded run from one
-    detected loop period (DESIGN.md §5).  Counts are asserted identical to
-    the detection-disabled run before anything is timed into the record.
+    "All 1 (no CU-IC)" row, both wrapper flavours, on the compiled kernel.
+    The looped program's golden run stops at its loop, so its batched rows
+    replay the trace and extrapolate from a recurrence of trace positions
+    (DESIGN.md §3, §5); the baseline is a full single run with detection
+    off.  Counts are asserted identical before anything is timed into the
+    record.
     """
     from repro.core import RSConfiguration
     from repro.cpu import build_pipelined_cpu
@@ -255,6 +256,7 @@ def _measure_looped_cpu():
         length=4 if QUICK else 8, seed=2005, repeat=True
     )
     cpu = build_pipelined_cpu(workload.program)
+    cpu.run_golden(record_trace=False)
     config = RSConfiguration.uniform(1, exclude=("CU-IC",))
     horizon = CPU_STEADY_HORIZON // 2 if QUICK else CPU_STEADY_HORIZON
     repeats = 2 if QUICK else 3
@@ -268,28 +270,26 @@ def _measure_looped_cpu():
         controls = dict(
             stop_process="CU", horizon=horizon, steady_state_window=horizon
         )
-        extrapolated = runner.run(configuration=config, **controls)
-        full_result = runner.run(
-            configuration=config, steady_state=False, **controls
-        )
-        assert extrapolated.extrapolated and extrapolated.period is not None
-        assert extrapolated.cycles == full_result.cycles == horizon
-        assert extrapolated.firings == full_result.firings
-        steady = _best_of(
-            lambda: runner.run(configuration=config, **controls), repeats
-        )
-        full = _best_of(
-            lambda: runner.run(
-                configuration=config, steady_state=False, **controls
-            ),
-            repeats,
-        )
+
+        def replayed():
+            return runner.run_many([config], **controls)[0]
+
+        def full():
+            return runner.run(configuration=config, steady_state=False, **controls)
+
+        row, full_result = replayed(), full()
+        assert row.kernel == "replay" and row.extrapolated
+        assert row.period is not None
+        assert row.cycles == full_result.cycles == horizon
+        assert row.firings == full_result.firings
+        steady = _best_of(replayed, repeats)
+        full_seconds = _best_of(full, repeats)
         entry["wrappers"][label] = {
             "steady_seconds": steady,
-            "full_seconds": full,
-            "steady_vs_full": full / steady,
-            "period": extrapolated.period,
-            "warmup_cycles": extrapolated.warmup_cycles,
+            "full_seconds": full_seconds,
+            "steady_vs_full": full_seconds / steady,
+            "period": row.period,
+            "warmup_cycles": row.warmup_cycles,
         }
     return entry
 
@@ -520,7 +520,7 @@ def test_steady_state_speedup(kernel_record):
 
 
 def test_looped_cpu_steady_speedup(kernel_record):
-    """Certified-extrapolated CPU horizon rows clear the looping-table1 floor."""
+    """Replayed CPU horizon rows clear the looping-table1 floor."""
     entry = _measure_looped_cpu()
     kernel_record["looped_cpu"] = entry
     for label, stats in entry["wrappers"].items():

@@ -9,8 +9,8 @@ Reads the newest record of the ``BENCH_kernel.json`` history (produced by
   extrapolation must beat the reference kernel by ``--steady-floor`` at the
   short measurement horizon and the compiled kernel without detection by
   ``--steady-compiled-floor`` at the long horizon;
-* the looping-table1 CPU floor regresses: a certified-extrapolated CPU
-  horizon row must beat the same row without detection by
+* the looping-table1 CPU floor regresses: a replayed, extrapolated CPU
+  horizon row must beat the same row simulated in full by
   ``--cpu-steady-floor`` on every wrapper flavour;
 * with ``--lockstep-floor`` / ``--lockstep-compiled-floor``: the lockstep
   structure-of-arrays sweep at the record's largest lane count must beat
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cpu-steady-floor", type=float, default=20.0,
         help=(
-            "minimum certified-extrapolation speedup over the full run on "
+            "minimum replayed-row speedup over the full run on "
             "the looping-table1 CPU horizon rows (default: 20)"
         ),
     )

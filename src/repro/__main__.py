@@ -19,7 +19,7 @@ Commands
                fair scheduling (see :mod:`repro.server`)
 
 Every command accepts ``--format text|markdown|csv|json`` where it makes
-sense; the default is the plain-text layout used in EXPERIMENTS.md.  The
+sense; the default is the plain-text layout.  The
 simulating commands (``table1``, ``multicycle``, ``sweep``, ``submit``)
 accept ``--kernel reference|fast|compiled|lockstep`` to select the simulation
 engine

@@ -41,7 +41,13 @@ from .exceptions import (
     SimulationError,
 )
 from .floorplan import Block, Floorplan, row_pack, spread_floorplan
-from .golden import FiringTrace, GoldenResult, GoldenSimulator, run_golden
+from .golden import (
+    FiringTrace,
+    GoldenResult,
+    GoldenSimulator,
+    replays_loop,
+    run_golden,
+)
 from .insertion import (
     all_single_link_insertions,
     floorplan_insertion,
@@ -125,7 +131,7 @@ __all__ = [
     "Shell", "StrictShell", "RelaxedShell", "FiringPlan", "ShellStats",
     "make_shell", "DEFAULT_QUEUE_CAPACITY",
     # simulators
-    "FiringTrace", "GoldenSimulator", "GoldenResult", "run_golden",
+    "FiringTrace", "GoldenSimulator", "GoldenResult", "run_golden", "replays_loop",
     "LidSimulator", "LidResult", "ChannelPipeline", "run_lid",
     # engine (layered simulation stack; see repro.engine for the full API)
     "SimKernel", "ReferenceKernel", "FastKernel", "InstrumentSet",

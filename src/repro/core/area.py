@@ -4,7 +4,7 @@ Section 1 of the paper reports synthesis experiments on a 130 nm library
 showing that the wrapper overhead is always below 1 % of a 100 kgate IP and
 that the wrapper logic is never timing critical.  The authors' RTL and
 library are not available, so this module substitutes an analytical
-gate-equivalent model (documented in DESIGN.md / EXPERIMENTS.md):
+gate-equivalent model:
 
 * a flip-flop costs ~6 gate equivalents (NAND2-equivalent), a 2-to-1 mux ~3,
   and a small amount of control logic is charged per wrapper and per station;

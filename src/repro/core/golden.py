@@ -9,10 +9,17 @@ WP is of course 1.0"), (b) the reference τ-filtered traces for the
 N-equivalence checks, and (c) the :class:`FiringTrace` of every process'
 oracle answers and done flags by firing index, left on the netlist as
 ``Netlist.firing_trace``: its batch rows replay it (DESIGN.md §3).
+
+A netlist that can never stop (no process can report done) and whose every
+process summarises its complete state (``schedule_complete``) — the CPU
+running a looped program — is periodic: the golden run searches for a
+recurrence of its full state and stops there, so its trace answers every
+firing index, however large (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -53,6 +60,22 @@ class FiringTrace:
     #: Per process: the firing count at which ``is_done()`` first held, or
     #: None when it did not hold within the trace (or is never overridden).
     done_at: Tuple[Optional[int], ...]
+    #: The loop start ``L`` when the golden run's state recurred: the state
+    #: after ``firings`` firings equals the state after ``L``, so the answers
+    #: from index ``L`` on repeat with period ``firings - L`` forever.  None
+    #: when the trace ends where the run stopped.
+    loop_start: Optional[int] = None
+
+    def position(self, firing: int) -> int:
+        """The recorded index that answers firing index *firing*.
+
+        ``L + (k - L) mod C`` for ``k >= L`` on a looped trace (``C`` the
+        period), *firing* itself otherwise.
+        """
+        start = self.loop_start
+        if start is None or firing < start:
+            return firing
+        return start + (firing - start) % (self.firings - start)
 
 
 class _FiringRecorder:
@@ -110,7 +133,9 @@ class _FiringRecorder:
             elif done_at[index] is not None:
                 self.valid = False  # the flag turned false again
 
-    def result(self, firings: int) -> Optional[FiringTrace]:
+    def result(
+        self, firings: int, loop_start: Optional[int] = None
+    ) -> Optional[FiringTrace]:
         oracle: List[Optional[Union[bytes, Tuple[int, ...]]]] = []
         for index, entry in enumerate(self.oracles):
             if entry is None:
@@ -127,7 +152,40 @@ class _FiringRecorder:
             firings=firings,
             oracle=tuple(oracle),
             done_at=tuple(self.done_at),
+            loop_start=loop_start,
         )
+
+
+def replays_loop(netlist: Netlist) -> bool:
+    """Whether *netlist* carries a looped trace of its own golden run.
+
+    Its compiled batch rows then replay the loop and may extrapolate where
+    an untraced twin of the same identity simulates in full, so the rows'
+    ``period``/``extrapolated`` differ: result and runner caches keep the
+    two apart.
+    """
+    trace = netlist.firing_trace
+    return (
+        trace is not None
+        and trace.loop_start is not None
+        and trace.netlist_identity == netlist.identity
+    )
+
+
+def _searches_loop(netlist: Netlist, stop_process: Optional[str]) -> bool:
+    """Whether a golden run of *netlist* searches for its loop.
+
+    Only when the run can never stop — the stop process, or with none every
+    process, declares ``done_threshold() == math.inf`` — and every process
+    declares ``schedule_complete``: equal summaries plus equal channel
+    registers then mean equal full states.  A done-stop run computes no
+    summary.
+    """
+    processes = list(netlist.processes.values())
+    if not all(process.schedule_complete for process in processes):
+        return False
+    stoppers = processes if stop_process is None else [netlist.process(stop_process)]
+    return all(process.done_threshold() == math.inf for process in stoppers)
 
 
 @dataclass
@@ -173,6 +231,15 @@ class GoldenSimulator:
         extra_cycles:
             Additional cycles simulated after the stop condition fires (lets
             in-flight results drain, e.g. a final store reaching memory).
+
+        A run that can never stop searches for its loop (module docstring)
+        with Brent's method: the full state — every process'
+        ``schedule_state()`` plus the channel registers — is saved at cycle
+        0 and at every power of two, and the run ends at the first cycle
+        whose state equals the saved one.  Every process fires once per
+        cycle, so the firing-relative tags in the summaries compare as they
+        are.  Its trace then loops from the saved cycle (``loop_start``),
+        with the minimal period.
         """
         netlist = self.netlist
         netlist.reset()
@@ -196,10 +263,26 @@ class GoldenSimulator:
         recorder = _FiringRecorder(netlist)
         oracles = recorder.oracles
 
+        processes = list(netlist.processes.values())
+        search = _searches_loop(netlist, stop_process)
+        saved = None
+        saved_at = 0
+        loop_start: Optional[int] = None
+
         cycles = 0
         halted = False
         drain_remaining: Optional[int] = None
         while cycles < max_cycles:
+            if search:
+                state = (
+                    tuple(process.schedule_state() for process in processes),
+                    tuple(channel_values.values()),
+                )
+                if state == saved:
+                    loop_start = saved_at
+                    break
+                if not cycles & (cycles - 1):  # cycle 0 or a power of two
+                    saved, saved_at = state, cycles
             # Gather inputs for every process from the channel registers.
             next_values: Dict[str, Any] = {}
             for index, (name, process) in enumerate(netlist.processes.items()):
@@ -235,7 +318,7 @@ class GoldenSimulator:
                 drain_remaining -= 1
 
         firings = {name: process.firings for name, process in netlist.processes.items()}
-        netlist.firing_trace = recorder.result(cycles)
+        netlist.firing_trace = recorder.result(cycles, loop_start)
         return GoldenResult(
             cycles=cycles,
             firings=firings,

@@ -41,6 +41,16 @@ def _port_channel_map() -> "defaultdict[str, List[Channel]]":
     return defaultdict(list)
 
 
+def canonical_cycle(cycle: List[str]) -> List[str]:
+    """*cycle* rotated to start at its smallest process name.
+
+    networkx's ``simple_cycles`` picks each cycle's rotation by set
+    iteration order, which moves with the hash seed.
+    """
+    first = cycle.index(min(cycle))
+    return cycle[first:] + cycle[:first]
+
+
 class Netlist:
     """A set of processes connected by point-to-point channels.
 
@@ -235,13 +245,14 @@ class Netlist:
         """All simple cycles of the process graph (lists of process names).
 
         The figure 1 discussion ("the responsible of performance pitfalls are
-        the netlist loops") is exactly this enumeration.
+        the netlist loops") is exactly this enumeration.  Each loop starts at
+        its smallest process name (:func:`canonical_cycle`).
         """
         graph = nx.DiGraph()
         graph.add_nodes_from(self._processes)
         for chan in self._channels.values():
             graph.add_edge(chan.source, chan.dest)
-        return [list(cycle) for cycle in nx.simple_cycles(graph)]
+        return [canonical_cycle(cycle) for cycle in nx.simple_cycles(graph)]
 
     #: Loops rendered by :meth:`describe` before eliding (dense cyclic shapes
     #: such as tori have combinatorially many simple cycles).

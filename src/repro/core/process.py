@@ -94,14 +94,12 @@ class Process(ABC):
     #: followed by identical input token sequences produce identical future
     #: outputs (values included), ``is_done()`` and ``required_ports()``
     #: answers — and every output value is hashable.  Such summaries are
-    #: *data-dependent* and therefore only sound under the **certified**
-    #: plan, which only extrapolates once the exact state — summaries, the
-    #: queued token values of every channel and the verify states — has
-    #: recurred (see :func:`repro.engine.steady_state.certify_model` and
-    #: DESIGN.md §5).  A process whose summary must fold large state into a
-    #: digest (e.g. a memory image) should override
-    #: :meth:`schedule_verify_state` to expose the exact state for that
-    #: comparison.
+    #: *data-dependent*.  A golden run of a netlist of complete processes that
+    #: can never stop searches them for its loop (:mod:`repro.core.golden`);
+    #: the kernels extrapolate such a netlist only when no process overrides
+    #: ``is_done`` or ``required_ports``, with the queued token values in the
+    #: snapshot key (see :func:`repro.engine.steady_state.certify_model` and
+    #: DESIGN.md §5).
     schedule_complete: bool = False
 
     def __init__(self, name: str) -> None:
@@ -198,37 +196,6 @@ class Process(ABC):
         if overrides_hook(self, "is_done") or overrides_hook(self, "required_ports"):
             return None
         return SCHEDULE_INERT
-
-    def schedule_jump(self, firings: int) -> None:
-        """Shift internal absolute-tag bookkeeping after an analytic jump.
-
-        When steady-state extrapolation skips whole periods it advances
-        ``self.firings`` by *firings* without calling :meth:`fire`.  A
-        process that stores absolute firing counts inside its state (e.g.
-        pending-operation schedules keyed by due tag) must shift them by the
-        same amount here, so the state's relationship to ``self.firings`` —
-        which is all its behaviour may depend on — survives the jump and the
-        resumed concrete simulation continues exactly like full simulation.
-        The default is a no-op: state that never references the absolute
-        firing count (the common case) needs no adjustment.
-        """
-
-    def schedule_verify_state(self) -> Optional[Any]:
-        """Exact state backing a :attr:`schedule_complete` summary.
-
-        Certified steady-state detection (DESIGN.md §5) compares this value
-        at both ends of a period before trusting the extrapolation, so a
-        summary may compress large state into a digest without giving up
-        bit-exactness: override this to return the uncompressed state.  The
-        compiled kernel calls an override when it records a checkpoint (a
-        few hundred times per run at most, on a geometric grid) and when the
-        summaries and queue values of a probe already matched a checkpoint;
-        it never calls the base method, whose value the summary comparison
-        already covers.  The ``fast`` kernel calls it twice per candidate
-        period.  The default — the summary itself — is correct whenever
-        :meth:`schedule_state` is already exact.
-        """
-        return self.schedule_state()
 
     # -- bookkeeping used by the simulators -----------------------------------
     def step(self, inputs: Mapping[str, Any]) -> Dict[str, Any]:

@@ -27,7 +27,7 @@ import networkx as nx
 
 from .config import RSConfiguration
 from .exceptions import ConfigurationError
-from .netlist import Netlist
+from .netlist import Netlist, canonical_cycle
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,10 @@ def enumerate_loops(
 ) -> List[Loop]:
     """Enumerate every simple cycle of the process graph.
 
+    Each loop starts at its smallest process name and the list is sorted by
+    the loops' process tuples, so the answer does not depend on the hash
+    seed.
+
     Parallel channels between the same ordered pair of processes are collapsed
     to the *minimum* relay-station count among them when computing a loop's
     load: the loop constraint is set by the fastest wire closing it, and under
@@ -124,6 +128,7 @@ def enumerate_loops(
 
     loops: List[Loop] = []
     for cycle in nx.simple_cycles(graph):
+        cycle = canonical_cycle(cycle)
         channel_names: List[str] = []
         rs_total = 0
         for position, node in enumerate(cycle):
@@ -138,6 +143,7 @@ def enumerate_loops(
                 relay_stations=rs_total,
             )
         )
+    loops.sort(key=lambda loop: loop.processes)
     return loops
 
 

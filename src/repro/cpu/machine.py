@@ -46,11 +46,13 @@ class CaseStudyCpu:
         """Instantiate the five blocks and wire them per Figure 1.
 
         For horizon-bounded asymptotic-throughput runs, load
-        ``program.looped()`` — the endlessly repeating variant whose
-        periodic schedule steady-state detection can extrapolate
-        (DESIGN.md §5).
+        ``program.looped()`` — the endlessly repeating variant whose golden
+        run finds its loop, so batch rows replay it (DESIGN.md §5).
         """
-        control_unit = ControlUnit(pipelined=pipelined)
+        control_unit = ControlUnit(
+            pipelined=pipelined,
+            can_halt=any(instruction.is_halt for instruction in program.instructions),
+        )
         instruction_cache = InstructionCache(program.instruction_words())
         register_file = RegisterFile()
         alu = Alu()
@@ -78,7 +80,12 @@ class CaseStudyCpu:
         drain: bool = False,
         record_trace: bool = True,
     ) -> GoldenResult:
-        """Run the un-pipelined (zero relay station) reference system."""
+        """Run the un-pipelined (zero relay station) reference system.
+
+        On a looped program the run stops at the first recurrence of the
+        machine's complete state and leaves a looped
+        :class:`~repro.core.golden.FiringTrace` on the netlist (DESIGN.md §5).
+        """
         return run_golden(
             self.netlist,
             max_cycles=max_cycles,
@@ -104,21 +111,14 @@ class CaseStudyCpu:
         """Run one wire-pipelined configuration (WP1 when strict, WP2 when relaxed).
 
         *horizon* caps the run at an exact cycle count (a normal halt, not a
-        timeout) — the long-horizon asymptotic-throughput mode.  On a looped
-        program (:meth:`~repro.cpu.program.Program.looped`) such runs are
-        steady-state extrapolated: the five units carry certified
-        ``schedule_state()`` summaries (DESIGN.md §5), so the kernels detect
-        the loop's period and skip the remaining iterations analytically
-        unless *steady_state* disables it.  *steady_state_window* bounds the
-        recurrence search; the default searches up to the horizon.
+        timeout) — the long-horizon asymptotic-throughput mode.  A single run
+        never replays and the kernels never extrapolate the CPU (its units
+        override the oracle and done hooks, DESIGN.md §5), so such a run
+        simulates every cycle; batch rows of a looped program whose golden
+        run found its loop replay instead.
         """
         rs_per_channel = max(self.rs_total(configuration, rs_counts), 1)
         drain_cycles = DRAIN_CYCLES + 4 * rs_per_channel if drain else 0
-        if horizon is not None and steady_state_window is None:
-            # One loop iteration of a CPU workload spans thousands of
-            # cycles; the certified search's memory is bounded whatever
-            # the window, so the horizon itself is a safe default window.
-            steady_state_window = horizon
         return run_lid(
             self.netlist,
             configuration=configuration,

@@ -40,8 +40,7 @@ class Alu(Process):
     output_ports = ("alu_cu", "alu_rf", "alu_dc")
     # Outputs are a pure function of the inputs (the operation counters feed
     # nothing), so the inert base summary is already complete — declaring it
-    # lets the ALU join a certified (value-inclusive) steady-state snapshot
-    # plan (DESIGN.md §5).
+    # lets the golden run's loop search cover the ALU (DESIGN.md §5).
     schedule_complete = True
 
     def __init__(self, name: str = "ALU") -> None:

@@ -26,6 +26,7 @@ due, and the ``alu_cu`` input only at tags where a branch resolves.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -85,10 +86,9 @@ class ControlUnit(Process):
     input_ports = ("ic_cu", "alu_cu")
     output_ports = ("cu_ic", "cu_rf", "cu_alu", "cu_dc")
     done_attribute = "halted"
-    # The summary below captures the complete behavioural state (certified
-    # steady-state detection, DESIGN.md §5): the CU's control is
-    # data-dependent (branch outcomes steer the PC), so it is only sound
-    # under the value-inclusive snapshot plan.
+    # The summary below captures the complete behavioural state, which the
+    # golden run's loop search compares (DESIGN.md §5): the CU's control is
+    # data-dependent (branch outcomes steer the PC).
     schedule_complete = True
 
     #: Latency (in CU firings) between issuing a fetch request and receiving
@@ -108,12 +108,17 @@ class ControlUnit(Process):
         name: str = "CU",
         pipelined: bool = True,
         fetch_buffer: int = 4,
+        can_halt: bool = True,
     ) -> None:
         super().__init__(name)
         if fetch_buffer < 1:
             raise SimulationError("fetch buffer must hold at least one entry")
         self.pipelined = pipelined
         self.fetch_buffer = fetch_buffer
+        #: Whether the program holds a HALT; a looped program has none
+        #: (:meth:`~repro.cpu.program.Program.looped`), so the CU never
+        #: reports done.
+        self.can_halt = can_halt
         self._reset_state()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -142,6 +147,11 @@ class ControlUnit(Process):
 
     def is_done(self) -> bool:
         return self.halted
+
+    def done_threshold(self) -> Optional[float]:
+        # Without a HALT in the program the CU never reports done; otherwise
+        # the halt follows the program's data (no firing-count threshold).
+        return None if self.can_halt else math.inf
 
     # -- WP2 oracle ----------------------------------------------------------------
     def required_ports(self) -> Optional[FrozenSet[str]]:
@@ -199,17 +209,6 @@ class ControlUnit(Process):
             0 if self.pipelined else max(self.busy_until - tag, 0),
             self.alu_command_register,
         )
-
-    def schedule_jump(self, firings: int) -> None:
-        """Shift the absolute-tag bookkeeping (see Process.schedule_jump)."""
-        if self.branch_wait is not None:
-            self.branch_wait.resolve_at += firings
-        if self.scoreboard:
-            self.scoreboard = {
-                register: ready + firings
-                for register, ready in self.scoreboard.items()
-            }
-        self.busy_until += firings
 
     # -- firing ---------------------------------------------------------------------
     def fire(self, inputs: Mapping[str, object]) -> Dict[str, object]:

@@ -35,12 +35,9 @@ class DataCache(Process):
 
     input_ports = ("cu_dc", "rf_dc", "alu_dc")
     output_ports = ("dc_rf",)
-    # Complete behavioural summary (certified steady-state detection,
-    # DESIGN.md §5): load results depend on the memory image, so the summary
-    # is data-dependent and sound only under the value-inclusive snapshot
-    # plan.  The image itself enters the per-cycle summary as an
-    # incrementally-maintained digest; `schedule_verify_state` exposes the
-    # exact words for the per-candidate deep verification.
+    # Complete behavioural summary (the golden run's loop search, DESIGN.md
+    # §5): load results depend on the memory image, so the summary carries
+    # the image itself.
     schedule_complete = True
 
     #: Firings between the command and the store data / the memory access.
@@ -59,9 +56,6 @@ class DataCache(Process):
         self.store_values: Dict[int, int] = {}
         self.loads = 0
         self.stores = 0
-        # XOR-fold over _digest_cell of every word that differs from the
-        # initial image (so the reset digest is 0), updated on each store.
-        self._memory_digest = 0
 
     def reset(self) -> None:
         super().reset()
@@ -71,17 +65,13 @@ class DataCache(Process):
         self.store_values = {}
         self.loads = 0
         self.stores = 0
-        self._memory_digest = 0
 
     # -- steady-state summary --------------------------------------------------------
     def schedule_state(self):
         """Complete behavioural state, canonical in the firing counter.
 
-        The three pending schedules (due tags made relative) plus the memory
-        digest.  The digest folds the whole image into one word so the
-        per-cycle summary stays O(pending); the candidate-period verification
-        re-checks the exact memory through :meth:`schedule_verify_state`, so
-        a digest coincidence can never corrupt an extrapolation.
+        The memory image plus the three pending schedules (due tags made
+        relative).
         """
         tag = self.firings
         access = data = values = ()
@@ -97,11 +87,7 @@ class DataCache(Process):
         if self.store_values:
             values = [(due - tag, value) for due, value in self.store_values.items()]
             values.sort()
-        return (self._memory_digest, tuple(access), tuple(data), tuple(values))
-
-    def schedule_verify_state(self):
-        """The exact state behind the digest: the full memory image."""
-        return (tuple(self.memory), self.schedule_state())
+        return (tuple(self.memory), tuple(access), tuple(data), tuple(values))
 
     # -- WP2 oracle ----------------------------------------------------------------
     def required_ports(self) -> Optional[FrozenSet[str]]:
@@ -114,19 +100,6 @@ class DataCache(Process):
         if firings in self.pending_access:
             return _REQUIRED_CU_ALU
         return _REQUIRED_CU
-
-    def schedule_jump(self, firings: int) -> None:
-        """Shift the pending-operation schedule (see Process.schedule_jump)."""
-        self.pending_access = {
-            due + firings: kind for due, kind in self.pending_access.items()
-        }
-        self.pending_store_data = {
-            due + firings: access + firings
-            for due, access in self.pending_store_data.items()
-        }
-        self.store_values = {
-            due + firings: value for due, value in self.store_values.items()
-        }
 
     # -- firing ---------------------------------------------------------------------
     def fire(self, inputs: Mapping[str, object]) -> Dict[str, object]:
@@ -170,29 +143,10 @@ class DataCache(Process):
                 result = load_result(self.memory[address])
                 self.loads += 1
             else:
-                old = self.memory[address]
-                new = to_signed_word(self.store_values.pop(tag))
-                if new != old:
-                    self.memory[address] = new
-                    self._memory_digest ^= _digest_cell(address, old) ^ _digest_cell(
-                        address, new
-                    )
+                self.memory[address] = to_signed_word(self.store_values.pop(tag))
                 self.stores += 1
 
         return {"dc_rf": result}
-
-
-_DIGEST_MASK = (1 << 64) - 1
-
-
-def _digest_cell(address: int, value: int) -> int:
-    """Deterministic 64-bit mix of one memory cell (splitmix64 finalizer)."""
-    x = (address * 0x9E3779B97F4A7C15 + (value & _DIGEST_MASK)) & _DIGEST_MASK
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _DIGEST_MASK
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _DIGEST_MASK
-    return x ^ (x >> 31)
 
 
 #: Precomputed oracle answers; the DC always needs its command stream and

@@ -25,8 +25,8 @@ class InstructionCache(Process):
     output_ports = ("ic_cu",)
     # The instruction image is immutable during a run, so responses are a
     # pure function of the request: the inert base summary is already
-    # complete, which lets the IC join a certified (value-inclusive)
-    # steady-state snapshot plan (DESIGN.md §5).
+    # complete, which lets the golden run's loop search cover the IC
+    # (DESIGN.md §5).
     schedule_complete = True
 
     def __init__(self, words: Sequence[int], name: str = "IC") -> None:

@@ -31,9 +31,8 @@ class RegisterFile(Process):
 
     input_ports = ("cu_rf", "alu_rf", "dc_rf")
     output_ports = ("rf_alu", "rf_dc")
-    # Complete behavioural summary (certified steady-state detection,
-    # DESIGN.md §5): register values feed operand tokens, so the summary is
-    # data-dependent and sound only under the value-inclusive snapshot plan.
+    # Complete behavioural summary (the golden run's loop search, DESIGN.md
+    # §5): register values feed operand tokens, so the summary carries them.
     schedule_complete = True
 
     #: Firings between receiving a command and receiving the matching
@@ -93,17 +92,6 @@ class RegisterFile(Process):
             ]
             mem.sort()
         return (tuple(self.registers), tuple(alu), tuple(mem))
-
-    def schedule_jump(self, firings: int) -> None:
-        """Shift the pending-writeback due tags (see Process.schedule_jump)."""
-        self.pending_alu_writeback = {
-            due + firings: register
-            for due, register in self.pending_alu_writeback.items()
-        }
-        self.pending_mem_writeback = {
-            due + firings: register
-            for due, register in self.pending_mem_writeback.items()
-        }
 
     # -- helpers -------------------------------------------------------------------
     def _write(self, register: int, value: int) -> None:

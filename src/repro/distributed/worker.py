@@ -38,6 +38,7 @@ import threading
 import time
 from typing import Any, List, Optional, Tuple
 
+from ..core.golden import replays_loop
 from ..engine import faults
 from ..engine.batch import RunnerStore
 from ..engine.faults import FaultPlan
@@ -60,8 +61,9 @@ class _RunnerCache:
     object alive across batches carries it to the next lease.
     The key is the netlist's :attr:`~repro.core.netlist.Netlist.identity`
     (the one the result cache keys on too, fixed when the netlist was built
-    and carried through the pickle) plus the scalar build options of the
-    work spec.
+    and carried through the pickle), whether it carries a looped trace of
+    its golden run (:func:`~repro.core.golden.replays_loop`), plus the
+    scalar build options of the work spec.
     """
 
     def __init__(self, maxsize: int = 8) -> None:
@@ -70,7 +72,7 @@ class _RunnerCache:
 
     @staticmethod
     def key(spec: Tuple) -> Tuple:
-        return (spec[0].identity, *spec[1:])
+        return (spec[0].identity, replays_loop(spec[0]), *spec[1:])
 
     def get(self, key: Tuple):
         runner = self._entries.pop(key, None)

@@ -52,12 +52,12 @@ netlist shape, and every fresh layout of an already-seen shape (DESIGN.md
   :mod:`repro.engine.steady_state` and DESIGN.md §4), the canonical
   snapshot is compiled into the loop as one tuple of the pre-maintained
   integers — FIFO counters, chain states, firing-counter differences, done
-  flags — keyed into a plain dict.  A plain plan adds the sampled
-  ``schedule_state()`` of the few dynamic processes to the key and measures
-  one period; a certified plan probes exact checkpoints with the integer
-  key and compares summaries, queue values and verify states only on a hit
-  (DESIGN.md §5).  The generated jump block then advances cycles, firing
-  counters, ``g`` counters and stall statistics analytically;
+  flags — plus the sampled ``schedule_state()`` of the few dynamic
+  processes, keyed into a plain dict; a certified plan adds the queued token
+  values as exact tuples (DESIGN.md §5).  After the first recurrence the
+  loop measures one more period, and the generated jump block then advances
+  cycles, firing counters, ``g`` counters and stall statistics
+  analytically;
 * the **replay layout** (the ``replay`` shape flag, DESIGN.md §3) is the
   same loop with every process and value removed: no ``fire`` call, no
   ``q``/``R`` deques, no ``reset()``.  A firing only moves the ``n``/``g``
@@ -67,7 +67,10 @@ netlist shape, and every fresh layout of an already-seen shape (DESIGN.md
   done guard and stop test compare the firing counter with the trace's
   done index.  Any question the trace cannot answer raises
   ``IndexError`` (:class:`TraceExhausted`), and the kernel runs the row
-  again in full.
+  again in full.  The replay of a looped trace (:data:`REPLAY_LOOPED`)
+  reads each process' answers at a trace position ``o7`` that wraps at the
+  loop; its steady-state key holds those positions in place of process
+  summaries.
 
 The generated function is an entire run loop (not a per-cycle callable): the
 stop condition, drain window and deadlock detection are cheap per-cycle
@@ -109,12 +112,10 @@ from .elaboration import ElaboratedModel, NetlistLayout
 from .instrumentation import InstrumentSet
 from .kernel import raise_output_mismatch
 from .steady_state import (
-    CHECKPOINT_CAP,
     certify_model,
     channel_offset_pairs,
     periods_to_skip,
     stats_jump,
-    thin_checkpoints,
 )
 
 #: Name of the generated entry point inside the compiled namespace.
@@ -128,6 +129,10 @@ CODE_CACHE_SIZE = 256
 #: Most relay-chain transition tables kept (one per tuple of station
 #: capacities; every chain of that tuple shares it).
 CHAIN_TABLE_CACHE_SIZE = 128
+
+#: The replay layout of a looped trace (the value of ``replay``; ``True``
+#: is the replay of a trace that ends where its golden run stopped).
+REPLAY_LOOPED = 2
 
 #: Stop-condition modes a run loop can be specialized for.
 STOP_ANY_DONE = 0      #: stop when any process reports done
@@ -339,9 +344,9 @@ def layout_shape(layout: NetlistLayout) -> _Shape:
     The port names of every process (inputs in FIFO order, declared
     outputs), which channels each connected output port drives, every
     channel's destination FIFO, and each process' hook flags: ``is_done`` /
-    ``required_ports`` / ``schedule_jump`` / ``schedule_verify_state``
-    overrides and its ``done_attribute``.  Process and channel names, relay
-    stations, capacities and initial values are not part of it.
+    ``required_ports`` overrides and its ``done_attribute``.  Process and
+    channel names, relay stations, capacities and initial values are not
+    part of it.
     """
     shape = layout.__dict__.get(_SHAPE_ATTR)
     if shape is None:
@@ -360,8 +365,6 @@ def layout_shape(layout: NetlistLayout) -> _Shape:
                         overrides_hook(p, "is_done"),
                         p.done_attribute,
                         overrides_hook(p, "required_ports"),
-                        overrides_hook(p, "schedule_jump"),
-                        overrides_hook(p, "schedule_verify_state"),
                     )
                     for p in procs
                 ),
@@ -378,22 +381,25 @@ def model_signature(
     steady: bool = False,
     horizon: bool = False,
     certification: Optional[Tuple[List[int], bool]] = None,
-    replay: bool = False,
+    replay: int = False,
 ) -> Tuple:
     """The code-cache key of one bound model + instrument selection.
 
     Two runs share compiled code iff their layouts have the same
     :func:`layout_shape` and they agree on the wrapper flavour, the
     instrument flags, the stop-condition mode, the horizon specialization,
-    the replay layout and — when the steady-state detector is compiled in —
-    the detector's plan (which processes are sampled, plain or certified;
+    the replay layout (of a trace that ends, or of a looped one) and — when
+    the steady-state detector is compiled in — the detector's plan (which
+    processes are sampled, plain or certified;
     *certification* is the model's :func:`certify_model` answer when the
     caller already has it).  Relay stations, capacities, initial token
     values, labels, stop targets, horizon and window values and the replayed
     trace are runtime data.
     """
     steady_key = False
-    if steady and not instruments.trace:
+    if steady and replay:
+        steady_key = True  # the replay key holds trace positions, no summary
+    elif steady and not instruments.trace:
         if certification is None:
             certification = certify_model(model)
         if certification is not None:
@@ -454,6 +460,8 @@ class _Generator:
     occupancy counters and chain states, with no process object touched
     (no ``fire``, no value queues) and the oracle answers and done flags
     read by firing index from the replayed trace (:func:`replay_binding`).
+    With ``replay=REPLAY_LOOPED`` they are read at trace positions that
+    wrap at the trace's loop, and only then may *steady* be set.
     """
 
     def __init__(
@@ -464,7 +472,7 @@ class _Generator:
         steady: bool = False,
         horizon: bool = False,
         certification: Optional[Tuple[List[int], bool]] = None,
-        replay: bool = False,
+        replay: int = False,
     ) -> None:
         layout = model.layout
         self.layout = layout
@@ -475,9 +483,13 @@ class _Generator:
         self.occ = instruments.occupancy
         self.horizon = horizon
         self.steady = steady and not instruments.trace
-        self.replay = replay
-        assert not (replay and (self.tracing or self.steady)), (
-            "the replay layout carries no token values and no process state"
+        self.replay = bool(replay)
+        self.looped = replay == REPLAY_LOOPED
+        assert not (replay and self.tracing), (
+            "the replay layout carries no token values"
+        )
+        assert not (self.steady and replay and not self.looped), (
+            "only a looped trace's positions recur"
         )
         self.n_procs = len(layout.processes)
         self.n_chans = len(layout.chan_names)
@@ -491,23 +503,25 @@ class _Generator:
         # instead of calling is_done() every cycle (see Process.done_attribute).
         self.done_attr = [hook[1] for hook in hooks]
         self.req_ovr = [hook[2] for hook in hooks]
+        # Looped replay: the processes whose trace answers the loop reads,
+        # each with its own trace position o{p}.
+        self.pos_procs = [
+            p
+            for p in range(len(hooks))
+            if self.looped and (self.done_ovr[p] or (self.relaxed and self.req_ovr[p]))
+        ]
         # Steady-state snapshot plan (processes to sample, tag offsets, the
-        # per-FIFO pop counters a jump must advance; certified mode compares
-        # exact checkpoints: summaries, queued token values and the verify
-        # states of the processes that override that hook).
+        # per-FIFO pop counters a jump must advance; certified mode also
+        # keys the queued token values).  The replay key samples no process:
+        # its trace positions stand for them.
         if self.steady:
-            if certification is None:
+            if self.replay:
+                certification = ([], False)
+            elif certification is None:
                 certification = certify_model(model)
             assert certification is not None, "steady codegen on an unsupported model"
             dynamic, self.ss_certified = certification
             self.ss_sig_procs = dynamic
-            self.ss_verify_procs = (
-                [p for p in dynamic if hooks[p][4]] if self.ss_certified else []
-            )
-            # Processes whose internal state stores absolute firing tags
-            # must shift it at the analytic jump (Process.schedule_jump);
-            # the no-op base hook is folded away.
-            self.ss_jump_procs = [p for p, hook in enumerate(hooks) if hook[3]]
             self.ss_done_procs = [p for p in dynamic if self.done_ovr[p]]
             self.ss_offsets = channel_offset_pairs(model) if self.relaxed else []
             self.ss_g_queues = [
@@ -521,9 +535,13 @@ class _Generator:
     # -- expression helpers -----------------------------------------------------
     def _done_expr(self, p: int) -> str:
         if self.replay:
-            return f"f{p} >= D{p}"
+            return f"{self._pos(p)} >= D{p}"
         attr = self.done_attr[p]
         return f"p{p}.{attr}" if attr else f"p{p}_done()"
+
+    def _pos(self, p: int) -> str:
+        """Replay only: the trace index that answers *p*'s next firing."""
+        return f"o{p}" if self.looped else f"f{p}"
 
     def _check_known(self, p: int) -> None:
         """Replay only: leave the row when *p*'s done flag is past the trace.
@@ -551,7 +569,7 @@ class _Generator:
         w.emit("_caps, _tabs, _push, _init, _stations, _n_elems, _layout = binding")
         if self.replay:
             # No process object is touched: the trace answers for them.
-            w.emit("_oracles, _done, _known = replay")
+            w.emit("_oracles, _done, _known, _loop, _end = replay")
             for p in range(self.n_procs):
                 if self.relaxed and self.req_ovr[p]:
                     w.emit(f"O{p} = _oracles[{p}]")
@@ -586,6 +604,8 @@ class _Generator:
             w.emit(f"P{c} = _push[{c}]")
         for p in range(self.n_procs):
             w.emit(f"f{p} = 0")
+        for p in self.pos_procs:
+            w.emit(f"o{p} = 0")
         if self.relaxed:
             # Per-FIFO head-tag counters (tags are implicit, see module doc).
             # Only oracle-bearing shells can leave stale tokens behind; an
@@ -623,26 +643,15 @@ class _Generator:
             w.emit("_bound = max_cycles")
         if self.steady:
             # Steady-state detector state: 1 = searching, 2 = measuring one
-            # concrete period (plain plans only), 0 = off.
+            # concrete period, 0 = off.
             w.emit("_ss = 1")
             w.emit("_ss_seen = {}")
             w.emit("_ss_p = 0")
             w.emit("_ss_w = 0")
+            w.emit("_ss_end = -1")
             w.emit("_extrap = False")
-            if self.ss_certified:
-                # Checkpoint grid: a cycle is on it when ``cycles & _ss_m``
-                # is zero (spacing ``_ss_m + 1``, doubled by _ss_thin).
-                w.emit("_ss_m = 0")
-                w.emit("_ss_n = 0")
-                w.emit("_ss_lim = ss_window + 1")
-            else:
-                w.emit("_ss_end = -1")
             for p in self.ss_sig_procs:
                 w.emit(f"p{p}_ss = p{p}.schedule_state")
-            for p in self.ss_verify_procs:
-                w.emit(f"p{p}_vs = p{p}.schedule_verify_state")
-            for p in self.ss_jump_procs:
-                w.emit(f"p{p}_sj = p{p}.schedule_jump")
         if self.stop_mode == STOP_PROCESS:
             if self.replay:
                 w.emit("_stop_at = _done[stop_arg]")
@@ -795,7 +804,7 @@ class _Generator:
         for index, p in enumerate(branches):
             w.emit(f"{'if' if index == 0 else 'elif'} stop_arg == {p}:")
             with _Block(w):
-                w.emit(f"_stop = f{p} >= _stop_at")
+                w.emit(f"_stop = {self._pos(p)} >= _stop_at")
         if branches:
             w.emit("else:")
             w.push()
@@ -808,33 +817,34 @@ class _Generator:
 
     # -- steady-state detection ------------------------------------------------
     def _key_expr(self) -> str:
-        """The snapshot key (plain) or checkpoint probe key (certified).
+        """The snapshot key.
 
         Integers the loop already maintains: FIFO counters and chain states
         (for one binding, a chain state is in one-to-one correspondence with
-        its per-station occupancies), WP2 tag offsets and done flags.  The
-        plain key adds the dynamic ``schedule_state()`` samples; the
-        certified probe key leaves them to the lazy checkpoint comparison.
+        its per-station occupancies), WP2 tag offsets, then the dynamic
+        ``schedule_state()`` samples and done flags.  A certified key adds
+        the queued token values of every FIFO and relay chain; a looped
+        replay's key adds its trace positions instead, which also fix the
+        done flags.
         """
         parts = [f"n{q}" for q in range(self.n_fifos)]
         parts += [f"s{c}" for c in range(self.n_chans)]
         parts += [f"f{s} - f{d}" for s, d in self.ss_offsets]
-        if not self.ss_certified:
-            parts += [f"p{p}_ss()" for p in self.ss_sig_procs]
+        parts += [f"p{p}_ss()" for p in self.ss_sig_procs]
         parts += [self._done_expr(p) for p in self.ss_done_procs]
+        parts += [f"o{p}" for p in self.pos_procs]
+        if self.ss_certified:
+            parts += [f"tuple(q{q})" for q in range(self.n_fifos)]
+            parts += [f"tuple(R{c})" for c in range(self.n_chans)]
         return _tuple_expr(parts)
 
     def _steady_block(self) -> None:
         """Snapshot / measure / jump logic at the top of every cycle.
 
-        Plain plans key every searched cycle by one tuple of integers
-        already held in locals plus the handful of dynamic
-        ``schedule_state()`` samples, then measure one concrete period
-        before the jump.  Certified plans use :meth:`_checkpoint_block`.
+        Every searched cycle is keyed by one tuple (:meth:`_key_expr`); the
+        first recurrence gives the period, one more concrete period gives
+        the per-period deltas, and the jump follows.
         """
-        if self.ss_certified:
-            self._checkpoint_block()
-            return
         w = self.w
         fs = _tuple_expr([f"f{p}" for p in range(self.n_procs)])
         w.emit("if _ss == 1:")
@@ -867,110 +877,6 @@ class _Generator:
     def _g_expr(self) -> str:
         return _tuple_expr([f"g{q}" for q in self.ss_g_queues])
 
-    def _checkpoint_block(self) -> None:
-        """Certified search: exact checkpoints probed by an integer key.
-
-        Every searched cycle builds the integer probe key and looks it up
-        in ``_ss_seen`` (key -> checkpoints filed under it).  On a hit the
-        exact state is compared lazily against each such checkpoint: one
-        process summary at a time in layout order, then the queued token
-        values, then the verify states, stopping at the first mismatch.
-        Equality at cycle ``t`` with checkpoint ``c`` proves the run
-        periodic from ``c`` with period ``t - c``, so the jump happens at
-        once with the per-period deltas taken from the checkpoint.  A cycle
-        that finds no recurrence becomes a checkpoint when it lies on the
-        grid; past :data:`~repro.engine.steady_state.CHECKPOINT_CAP` stored
-        checkpoints ``_ss_thin`` doubles the spacing (DESIGN.md §5).
-        """
-        w = self.w
-        sums = [f"_a{p}" for p in self.ss_sig_procs]
-        lazy = sums + ["_qv"]
-        queues = [f"tuple(q{q})" for q in range(self.n_fifos)]
-        queues += [f"tuple(R{c})" for c in range(self.n_chans)]
-        verify = _tuple_expr([f"p{p}_vs()" for p in self.ss_verify_procs])
-        # Checkpoint layout: cycle, summaries, queue values, [verify
-        # states], firing counters, [WP2 pop counters], [stall counters].
-        fields = ["cycles"] + sums + ["_qv"]
-        if self.ss_verify_procs:
-            fields.append(verify)
-        fir_at = len(fields)
-        fields.append(_tuple_expr([f"f{p}" for p in range(self.n_procs)]))
-        if self.ss_g_queues:
-            g_at = len(fields)
-            fields.append(self._g_expr())
-        if self.stats:
-            stats_at = len(fields)
-            fields.append(_STATS_COPY)
-
-        w.emit("if _ss:")
-        with _Block(w):
-            w.emit(f"_sk = {self._key_expr()}")
-            w.emit("_cl = _ss_seen.get(_sk)")
-            w.emit(f"{' = '.join(lazy)} = None")
-            w.emit("_hit = None")
-            w.emit("if _cl is not None:")
-            with _Block(w):
-                w.emit("for _ck in _cl:")
-                with _Block(w):
-                    for index, p in enumerate(self.ss_sig_procs, start=1):
-                        w.emit(f"if _a{p} is None:")
-                        with _Block(w):
-                            w.emit(f"_a{p} = p{p}_ss()")
-                        w.emit(f"if _a{p} != _ck[{index}]:")
-                        with _Block(w):
-                            w.emit("continue")
-                    qv_at = len(self.ss_sig_procs) + 1
-                    w.emit("if _qv is None:")
-                    with _Block(w):
-                        w.emit(f"_qv = {_tuple_expr(queues)}")
-                    w.emit(f"if _qv != _ck[{qv_at}]:")
-                    with _Block(w):
-                        w.emit("continue")
-                    if self.ss_verify_procs:
-                        w.emit(f"if {verify} != _ck[{qv_at + 1}]:")
-                        with _Block(w):
-                            w.emit("continue")
-                    w.emit("_hit = _ck")
-                    w.emit("break")
-            w.emit("if _hit is not None:")
-            with _Block(w):
-                w.emit("_ss_w = _hit[0]")
-                w.emit("_ss_p = cycles - _ss_w")
-                w.emit(f"_ss_bf = _hit[{fir_at}]")
-                if self.ss_g_queues:
-                    w.emit(f"_ss_bg = _hit[{g_at}]")
-                if self.stats:
-                    w.emit(f"_ss_bs = _hit[{stats_at}]")
-                w.emit("_ss_seen = None")
-                self._steady_jump()
-            w.emit("else:")
-            with _Block(w):
-                w.emit("if not cycles & _ss_m:")
-                with _Block(w):
-                    for p in self.ss_sig_procs:
-                        w.emit(f"if _a{p} is None:")
-                        with _Block(w):
-                            w.emit(f"_a{p} = p{p}_ss()")
-                    w.emit("if _qv is None:")
-                    with _Block(w):
-                        w.emit(f"_qv = {_tuple_expr(queues)}")
-                    w.emit(f"_ck = {_tuple_expr(fields)}")
-                    w.emit("if _cl is None:")
-                    with _Block(w):
-                        w.emit("_ss_seen[_sk] = [_ck]")
-                    w.emit("else:")
-                    with _Block(w):
-                        w.emit("_cl.append(_ck)")
-                    w.emit("_ss_n += 1")
-                    w.emit("if _ss_n > _SS_CAP:")
-                    with _Block(w):
-                        w.emit("_ss_m, _ss_n = _ss_thin(_ss_seen, _ss_m)")
-                        w.emit("_ss_lim = ss_window + _ss_m + 1")
-                w.emit("if cycles >= _ss_lim:")
-                with _Block(w):
-                    w.emit("_ss = 0")
-                    w.emit("_ss_seen = None")
-
     def _steady_jump(self) -> None:
         """The analytic jump over every whole period the run may skip."""
         w = self.w
@@ -992,9 +898,8 @@ class _Generator:
                 w.emit(f"if _df[{p}]:")
                 with _Block(w):
                     w.emit(f"f{p} += _skip * _df[{p}]")
-                    w.emit(f"p{p}.firings = f{p}")
-                    if p in self.ss_jump_procs:
-                        w.emit(f"p{p}_sj(_skip * _df[{p}])")
+                    if not self.replay:
+                        w.emit(f"p{p}.firings = f{p}")
                     if self.stop_mode == STOP_TARGET:
                         w.emit(f"fir[{p}] = f{p}")
             for index, q in enumerate(self.ss_g_queues):
@@ -1150,7 +1055,7 @@ class _Generator:
         if self.replay:
             # The trace's bitmask over the input ports, validated when it
             # was recorded; indexing past its end leaves the row.
-            w.emit(f"_req = O{p}[_t]")
+            w.emit(f"_req = O{p}[{self._pos(p)}]")
         else:
             w.emit(f"_req = p{p}_req()")
         if ports:
@@ -1271,6 +1176,11 @@ class _Generator:
             for qid in qids:
                 w.emit(f"n{qid} -= 1")
         w.emit(f"f{p} += 1")
+        if p in self.pos_procs:
+            w.emit(f"o{p} += 1")
+            w.emit(f"if o{p} == _end:")
+            with _Block(w):
+                w.emit(f"o{p} = _loop")
         if self.stop_mode == STOP_TARGET:
             w.emit(f"fir[{p}] = f{p}")
         for c in self.layout.out_chans[p]:
@@ -1285,7 +1195,7 @@ def generate_run_source(
     steady: bool = False,
     horizon: bool = False,
     certification: Optional[Tuple[List[int], bool]] = None,
-    replay: bool = False,
+    replay: int = False,
 ) -> str:
     """Emit the source of the shape-specialized run function for *model*."""
     return _Generator(
@@ -1311,27 +1221,31 @@ def _trace_exhausted() -> None:
 def replay_binding(model: ElaboratedModel, trace) -> Optional[Tuple]:
     """The per-run data a replay-layout run reads from *trace*.
 
-    ``(oracle answers, done thresholds, done known)`` per process: the
-    trace's interned oracle answers by firing index; the firing count at
-    which the process is done (one past the trace's firings when the trace
-    never saw it done, with *known* False, so reaching it leaves the row);
-    and whether that count is known.  *trace* is a
-    :class:`~repro.core.golden.FiringTrace`.  Returns None when the trace
-    was recorded on another netlist: its
+    ``(oracle answers, done thresholds, done known, loop start, loop end)``:
+    per process the trace's interned oracle answers by trace index; the
+    index at which the process is done (one past the trace's firings when
+    the trace never saw it done, with *known* False, so reaching it leaves
+    the row); and whether that index is known.  A looped trace's positions
+    wrap from ``loop end`` (its firings) back to ``loop start``, so they
+    never reach an unknown done index; a trace that ends has no loop (both
+    None).  *trace* is a :class:`~repro.core.golden.FiringTrace`.  Returns
+    None when the trace was recorded on another netlist: its
     :attr:`~repro.core.netlist.Netlist.identity` differs from this model's.
     """
     if trace.netlist_identity != model.netlist.identity:
         return None
     hooks = layout_shape(model.layout).key[-1]
+    looped = trace.loop_start is not None
     done: List[int] = []
     known: List[bool] = []
-    for p, (done_ovr, _, _, _, _) in enumerate(hooks):
+    for p, (done_ovr, _, _) in enumerate(hooks):
         at = trace.done_at[p]
         # Without an is_done override the flag is constantly False (the
         # generated code never reads its threshold).
         done.append(trace.firings + 1 if at is None else at)
-        known.append(at is not None or not done_ovr)
-    return trace.oracle, done, known
+        known.append(at is not None or not done_ovr or looped)
+    end = trace.firings if looped else None
+    return trace.oracle, done, known, trace.loop_start, end
 
 
 def _base_namespace(shape: _Shape) -> dict:
@@ -1349,8 +1263,6 @@ def _base_namespace(shape: _Shape) -> dict:
         "_sample_chain": _sample_chain,
         "_ss_skip": periods_to_skip,
         "_ss_sj": stats_jump,
-        "_ss_thin": thin_checkpoints,
-        "_SS_CAP": CHECKPOINT_CAP,
         "_miss": _trace_exhausted,
     }
     in_ports, out_ports = shape.key[:2]
@@ -1394,7 +1306,7 @@ def compiled_run_fn(
     steady: bool = False,
     horizon: bool = False,
     certification: Optional[Tuple[List[int], bool]] = None,
-    replay: bool = False,
+    replay: int = False,
 ) -> Callable:
     """The compiled run function for *model*, generated and cached on demand.
 

@@ -11,8 +11,8 @@ every fresh layout of an already-seen shape, pays the generation cost once.
 
 Steady-state period detection (see :mod:`repro.engine.steady_state`) is
 compiled straight into the generated loop whenever the run is eligible: the
-per-cycle snapshot is one tuple of integers the loop already maintains
-(certified plans compare exact checkpoints only when it recurs), and the
+per-cycle snapshot is one tuple of the integers the loop already maintains
+(plus summaries, and queued values under a certified plan), and the
 analytic jump over the detected period's repetitions happens inside the
 generated frame.
 
@@ -21,10 +21,13 @@ Offered a golden run's :class:`~repro.core.golden.FiringTrace` (*replay*:
 traced netlist), the kernel times the row with the **replay layout**: no
 process is fired, the oracle answers and done flags come from the trace by
 firing index (the paper's equivalence argument makes them
-schedule-independent, DESIGN.md §3).  A row the trace cannot answer runs in
-full; ``LidResult.kernel`` says ``"replay"`` or ``"compiled"`` and
-``LidResult.fallback`` why.  The run classifies its model for steady-state
-detection once: the plan's certification keys the code cache.
+schedule-independent, DESIGN.md §3).  The replay of a looped trace answers
+every firing and detects its own recurrence over trace positions, so it
+extrapolates where the model itself has no sound plan (the CPU).  A row the
+trace cannot answer runs in full; ``LidResult.kernel`` says ``"replay"`` or
+``"compiled"`` and ``LidResult.fallback`` why.  The run classifies its model
+for steady-state detection once: the plan's certification keys the code
+cache.
 
 Semantics are pinned to the reference kernel by the property suites in
 ``tests/test_engine.py`` and ``tests/test_steady_state.py``: cycles,
@@ -45,11 +48,17 @@ from typing import Optional
 from ..core.golden import FiringTrace
 from ..core.shell import ShellStats
 from ..core.traces import SystemTrace
-from .codegen import compiled_run_fn, replay_binding, resolve_stop, run_binding
+from .codegen import (
+    REPLAY_LOOPED,
+    compiled_run_fn,
+    replay_binding,
+    resolve_stop,
+    run_binding,
+)
 from .instrumentation import InstrumentSet, trace_from_lists
 from .kernel import RunControls, SimKernel
 from .result import LidResult
-from .steady_state import detection_plan
+from .steady_state import DEFAULT_DETECTION_WINDOW, detection_plan
 
 
 class CompiledKernel(SimKernel):
@@ -73,7 +82,6 @@ class CompiledKernel(SimKernel):
         plan = detection_plan(
             model, instruments, controls.steady_state,
             controls.steady_state_window, controls.on_cycle,
-            asymptotic=controls.asymptotic(),
         )
         fir = outcome = fallback = None
         if replay is not None:
@@ -169,25 +177,36 @@ class CompiledKernel(SimKernel):
 
         Returns ``(firing counters, outcome, None)``, or ``(None, None,
         reason)`` when the row must run in full: the run needs what the
-        trace lacks (token values, schedule samples, a firing past the
-        trace's end) or the trace was recorded on another netlist.
+        trace lacks (token values, schedule samples of a trace that ends, a
+        firing past the trace's end) or the trace was recorded on another
+        netlist.  A looped trace detects over trace positions whenever the
+        run allows detection at all (DESIGN.md §3).
         """
-        if plan is not None:
-            return None, None, "steady-state detection armed"
         if instruments.trace:
             return None, None, "value trace requested"
+        looped = trace.loop_start is not None
+        if plan is not None and not looped:
+            return None, None, "steady-state detection armed"
         data = replay_binding(self.model, trace)
         if data is None:
             return None, None, "trace recorded on another netlist"
+        window = controls.steady_state_window
+        if window is None:
+            window = DEFAULT_DETECTION_WINDOW
+        steady = looped and controls.steady_state and window > 0
         run_fn = compiled_run_fn(
-            self.model, instruments, stop_mode,
-            horizon=controls.horizon is not None, replay=True,
+            self.model, instruments, stop_mode, steady=steady,
+            horizon=controls.horizon is not None,
+            replay=REPLAY_LOOPED if looped else True,
         )
         try:
-            fir, outcome = self._call(run_fn, controls, stop_mode, stop_arg, 0, data)
+            fir, outcome = self._call(
+                run_fn, controls, stop_mode, stop_arg, window if steady else 0,
+                data,
+            )
         except IndexError:  # TraceExhausted, or an oracle read past the end
             return None, None, "trace exhausted"
-        if max(fir, default=0) > trace.firings:
+        if not looped and max(fir, default=0) > trace.firings:
             # A firing the golden run never made: its outputs were never
             # checked against the declared ports.
             return None, None, "trace exhausted"

@@ -190,7 +190,6 @@ class FastKernel(SimKernel):
         plan = detection_plan(
             model, instruments, controls.steady_state,
             controls.steady_state_window, on_cycle,
-            asymptotic=controls.asymptotic(),
         )
         ss_phase = 1 if plan is not None else 0
         ss_period: Optional[int] = None
@@ -205,7 +204,6 @@ class FastKernel(SimKernel):
             ss_offsets = plan.offset_pairs
             ss_stop_mode = 1 if target_list is not None else 0
             ss_certified = plan.certified
-            ss_verify_fns = [fn for _, fn in plan.verify_fns]
 
             def ss_make_key(latched):
                 key = (
@@ -215,8 +213,7 @@ class FastKernel(SimKernel):
                     tuple(p.is_done() for p in ss_done_procs),
                 )
                 if ss_certified:
-                    # Certified plan: control is data-dependent, so the
-                    # queued token values join the canonical snapshot.
+                    # Certified plan: the queued token values join the key.
                     key += (
                         tuple(
                             tuple(item[0] for item in queue) for queue in queues
@@ -248,15 +245,9 @@ class FastKernel(SimKernel):
             if ss_phase:
                 if ss_phase == 1:
                     ss_key = ss_make_key(latched)
-                    # Certified keys are wide (they carry queue values): the
-                    # dictionary stores their hashes so its memory stays one
-                    # int per searched cycle; a collision only proposes a
-                    # false candidate, which the deep verification below
-                    # rejects before anything is extrapolated.
-                    probe = hash(ss_key) if ss_certified else ss_key
-                    prev = ss_seen.get(probe)
+                    prev = ss_seen.get(ss_key)
                     if prev is None:
-                        ss_seen[probe] = cycles
+                        ss_seen[ss_key] = cycles
                         if cycles >= ss_window:
                             ss_phase = 0
                             ss_seen = None
@@ -266,11 +257,6 @@ class FastKernel(SimKernel):
                         ss_end = cycles + ss_period
                         ss_phase = 2
                         ss_seen = None
-                        if ss_certified:
-                            ss_key_base = ss_key
-                            ss_verify_base = tuple(
-                                fn() for fn in ss_verify_fns
-                            )
                         ss_base_fir = fir.copy()
                         if track_stats:
                             ss_base_stats = (
@@ -280,65 +266,46 @@ class FastKernel(SimKernel):
                                 [dict(d) for d in st_missing_port],
                             )
                 elif cycles == ss_end:
-                    if ss_certified:
-                        ss_key = ss_make_key(latched)
-                        ss_ok = ss_key == ss_key_base and (
-                            tuple(fn() for fn in ss_verify_fns)
-                            == ss_verify_base
-                        )
-                    else:
-                        ss_ok = True
-                    if not ss_ok:
-                        # False candidate (hash collision or digest
-                        # coincidence): the exact state did not recur over
-                        # the measured period.  Resume searching — a truly
-                        # periodic run re-candidates within one period.
-                        ss_phase = 1
-                        ss_seen = {hash(ss_key): cycles}
-                        ss_period = ss_warmup = None
-                        ss_end = -1
-                    else:
-                        ss_phase = 0
-                        deltas = [fir[p] - ss_base_fir[p] for p in range(n_procs)]
-                        skip = periods_to_skip(
-                            cycles, ss_period, bound, ss_stop_mode,
-                            target_list or (), fir, deltas,
-                        )
-                        # A period with zero firings must not be skipped: the
-                        # deadlock counter (not part of the snapshot) keeps
-                        # advancing through it.
-                        if skip > 0 and any(deltas):
-                            cycles += skip * ss_period
-                            for p in range(n_procs):
-                                jump = skip * deltas[p]
-                                if jump:
-                                    fir[p] += jump
-                                    procs[p].firings = fir[p]
-                                    procs[p].schedule_jump(jump)
-                            # Queued token tags advance by the producer's
-                            # skipped firings, exactly as full simulation
-                            # would have stamped them.
-                            for qid, queue in enumerate(queues):
-                                src = queue_src.get(qid)
-                                if src is None or not queue:
-                                    continue
-                                jump = skip * deltas[src]
-                                if jump:
-                                    for i in range(len(queue)):
-                                        value, tag = queue[i]
-                                        queue[i] = (value, tag + jump)
-                            if track_stats:
-                                stats_jump(
-                                    skip, ss_base_stats, st_missing,
-                                    st_blocked, st_done, st_discarded,
-                                    st_discard_port, st_missing_port,
-                                )
-                            extrapolated = True
-                            if cycles >= bound:
-                                # Loop condition re-check routes into the
-                                # while-else (horizon halt or timeout), as
-                                # full simulation would.
+                    ss_phase = 0
+                    deltas = [fir[p] - ss_base_fir[p] for p in range(n_procs)]
+                    skip = periods_to_skip(
+                        cycles, ss_period, bound, ss_stop_mode,
+                        target_list or (), fir, deltas,
+                    )
+                    # A period with zero firings must not be skipped: the
+                    # deadlock counter (not part of the snapshot) keeps
+                    # advancing through it.
+                    if skip > 0 and any(deltas):
+                        cycles += skip * ss_period
+                        for p in range(n_procs):
+                            jump = skip * deltas[p]
+                            if jump:
+                                fir[p] += jump
+                                procs[p].firings = fir[p]
+                        # Queued token tags advance by the producer's
+                        # skipped firings, exactly as full simulation
+                        # would have stamped them.
+                        for qid, queue in enumerate(queues):
+                            src = queue_src.get(qid)
+                            if src is None or not queue:
                                 continue
+                            jump = skip * deltas[src]
+                            if jump:
+                                for i in range(len(queue)):
+                                    value, tag = queue[i]
+                                    queue[i] = (value, tag + jump)
+                        if track_stats:
+                            stats_jump(
+                                skip, ss_base_stats, st_missing,
+                                st_blocked, st_done, st_discarded,
+                                st_discard_port, st_missing_port,
+                            )
+                        extrapolated = True
+                        if cycles >= bound:
+                            # Loop condition re-check routes into the
+                            # while-else (horizon halt or timeout), as
+                            # full simulation would.
+                            continue
 
             # WP2 stale-token discarding is folded into each shell's own scan
             # below: a shell's discards only touch its own input FIFOs, which

@@ -126,15 +126,6 @@ class RunControls:
             return self.horizon
         return self.max_cycles
 
-    def asymptotic(self) -> bool:
-        """Whether the run is bounded by a horizon or firing targets.
-
-        Certified steady-state plans only arm on such runs (see
-        :func:`repro.engine.steady_state.detection_plan`): done-based stop
-        conditions can never be preceded by a complete-state recurrence.
-        """
-        return self.horizon is not None or self.target_firings is not None
-
 
 def raise_output_mismatch(process, outputs) -> None:
     """Raise the NetlistError ``Process.step()`` raises for bad output ports.

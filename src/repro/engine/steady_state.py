@@ -14,29 +14,26 @@ This module holds everything the kernels share:
 * the canonical snapshot *plan* — which queues, tag offsets, done flags and
   per-process :meth:`~repro.core.process.Process.schedule_state` samples make
   up the per-cycle snapshot key, and when detection is sound at all
-  (:func:`detection_plan`), including the **certified** value-inclusive mode
-  for netlists of :attr:`~repro.core.process.Process.schedule_complete`
-  processes whose control is data-dependent (:func:`certify_model`,
-  DESIGN.md §5);
+  (:func:`detection_plan`), including the **value-inclusive** key for
+  netlists of :attr:`~repro.core.process.Process.schedule_complete`
+  processes with no control hooks (:func:`certify_model`, DESIGN.md §5);
 * the extrapolation arithmetic — how many whole periods a run may skip
   without overshooting its stop condition (:func:`periods_to_skip`).
 
 Whether a run detects, and what it finds, depends only on that run's model,
 controls and instruments: every run searches ``steady_state_window`` cycles
-(default :data:`DEFAULT_DETECTION_WINDOW`; the certified checkpoint search
-one checkpoint spacing more), whatever ran before it.
+(default :data:`DEFAULT_DETECTION_WINDOW`), whatever ran before it.
 
 The hot-path work (building the snapshot key each cycle, the recurrence
 dictionary) lives inside each kernel — interpreted in
 :class:`~repro.engine.fast.FastKernel`, compiled into the generated loop by
-:mod:`repro.engine.codegen`.  The compiled kernel's certified search keeps
-exact checkpoints on a geometric grid; its cold-path thinning
-(:func:`thin_checkpoints`, bounded by :data:`CHECKPOINT_CAP`) lives here.
+:mod:`repro.engine.codegen`, whose replay layout keys trace positions
+instead of process summaries (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.process import SCHEDULE_INERT, overrides_hook
@@ -44,12 +41,8 @@ from .elaboration import ElaboratedModel
 from .instrumentation import InstrumentSet
 
 #: Default number of cycles the detector searches for a recurrence before
-#: disarming (bounds the plain plan's snapshot dictionary).
+#: disarming (bounds the snapshot dictionary).
 DEFAULT_DETECTION_WINDOW = 16_384
-
-#: Most exact checkpoints the compiled kernel's certified search keeps at
-#: once; past it :func:`thin_checkpoints` doubles the checkpoint spacing.
-CHECKPOINT_CAP = 64
 
 
 @dataclass
@@ -70,15 +63,10 @@ class DetectionPlan:
 
     Token values are absent from the *plain* plan: they never gate a firing,
     and the ``schedule_state`` contract guarantees the sampled control state
-    evolves independently of them.  Under the **certified** plan (every
-    process declares :attr:`~repro.core.process.Process.schedule_complete`,
-    so control *is* data-dependent) a period is only trusted once the exact
-    state recurred: the summaries, the queued token values of every storage
-    element and the :attr:`verify_fns` states.  The compiled kernel compares
-    that state against exact checkpoints probed by the integer part of the
-    snapshot (calling only the verify hooks a process overrides); the fast
-    kernel hashes the full key and re-checks both ends of one measured
-    period (see DESIGN.md §5).
+    evolves independently of them.  A **certified** plan (every process
+    declares :attr:`~repro.core.process.Process.schedule_complete`) adds the
+    queued token values of every storage element to the key, as exact
+    tuples: equal keys then mean equal full states (see DESIGN.md §5).
     """
 
     #: ``(proc_index, bound schedule_state)`` for every dynamic process.
@@ -89,12 +77,9 @@ class DetectionPlan:
     offset_pairs: List[Tuple[int, int]]
     #: Cycles to search for a recurrence before disarming.
     window: int
-    #: Certified (value-inclusive) mode: a period is only trusted once the
-    #: exact state, queued token values included, recurred.
+    #: Certified (value-inclusive) mode: the key also holds the complete
+    #: summaries and the queued token values.
     certified: bool = False
-    #: ``(proc_index, bound schedule_verify_state)`` for the exact-state
-    #: comparison (certified mode only).
-    verify_fns: List[Tuple[int, Callable]] = field(default_factory=list)
 
     @property
     def certification(self) -> Tuple[List[int], bool]:
@@ -116,19 +101,22 @@ def certify_model(model: ElaboratedModel) -> Optional[Tuple[List[int], bool]]:
       anywhere) — token values cannot gate the schedule and stay out of the
       snapshot;
     * **certified** (``certified=True``): every process declares
-      :attr:`~repro.core.process.Process.schedule_complete`, i.e. each
-      summary captures the complete behavioural state.  Then full-state
-      recurrence — summaries plus the queued token values the plan also
-      keys — implies true periodicity even though control is data-dependent;
-    * ``None``: some process returns ``None``, or complete and
+      :attr:`~repro.core.process.Process.schedule_complete` and none
+      overrides ``is_done`` or ``required_ports``.  The key then holds the
+      complete summaries and the queued token values, so a recurrence is
+      one of the full state;
+    * ``None``: some process returns ``None``; complete and
       value-independent summaries are mixed (a complete process' output
-      values may depend on state an incomplete neighbour does not expose, so
-      the combined snapshot would be unsound).  Full simulation is always
-      sound, so ``None`` simply disables detection.
+      values may depend on state an incomplete neighbour does not expose);
+      or a complete process has a control hook — its answers follow the
+      data (the CPU), and its long runs are replays of a looped golden run
+      instead (DESIGN.md §5).  Full simulation is always sound, so ``None``
+      simply disables detection.
     """
     dynamic: List[int] = []
     any_complete = False
     all_complete = True
+    hooked = False
     for index, process in enumerate(model.layout.processes):
         state = process.schedule_state()
         if state is None:
@@ -137,9 +125,12 @@ def certify_model(model: ElaboratedModel) -> Optional[Tuple[List[int], bool]]:
             any_complete = True
         else:
             all_complete = False
+        hooked = hooked or overrides_hook(process, "is_done") or overrides_hook(
+            process, "required_ports"
+        )
         if state is not SCHEDULE_INERT:
             dynamic.append(index)
-    if any_complete and not all_complete:
+    if any_complete and (hooked or not all_complete):
         return None
     return dynamic, any_complete
 
@@ -161,7 +152,6 @@ def detection_plan(
     steady_state: bool = True,
     window: Optional[int] = None,
     on_cycle: Optional[object] = None,
-    asymptotic: bool = True,
 ) -> Optional[DetectionPlan]:
     """The snapshot plan for one run, or None when detection must stay off.
 
@@ -169,15 +159,7 @@ def detection_plan(
     False), when the trace instrument records per-cycle channel emissions
     (an extrapolated run cannot reproduce the skipped cycles' values — see
     DESIGN.md §4), when a per-cycle ``on_cycle`` observer is installed, or
-    when any process cannot summarise its schedule-relevant state.
-
-    *asymptotic* tells the planner whether the run is bounded by a horizon
-    or firing targets (kernels pass ``RunControls.asymptotic()``).  Certified
-    plans only arm on such runs: a complete-state recurrence can never
-    precede a done-based stop (it would prove the program loops forever), so
-    on terminating programs the value-inclusive search would be pure
-    per-cycle overhead.  Plain plans are unaffected — their snapshots are a
-    few integers and done-mode recurrences still prove timeouts early.
+    when :func:`certify_model` finds no sound key for the netlist.
     """
     if not steady_state:
         return None
@@ -190,8 +172,6 @@ def detection_plan(
     if certification is None:
         return None
     dynamic, certified = certification
-    if certified and not asymptotic:
-        return None
     processes = model.layout.processes
     done_procs = [p for p in dynamic if overrides_hook(processes[p], "is_done")]
     return DetectionPlan(
@@ -200,40 +180,7 @@ def detection_plan(
         offset_pairs=channel_offset_pairs(model) if model.relaxed else [],
         window=effective_window,
         certified=certified,
-        verify_fns=(
-            [(p, processes[p].schedule_verify_state) for p in dynamic]
-            if certified
-            else []
-        ),
     )
-
-
-def thin_checkpoints(store: Dict, mask: int) -> Tuple[int, int]:
-    """Coarsen the certified search's checkpoint grid (cold path).
-
-    *store* maps probe keys to lists of checkpoints, each a tuple whose
-    first item is the cycle it was taken at; a cycle is on the grid of
-    spacing ``mask + 1`` (a power of two) when ``cycle & mask`` is zero.
-    The spacing doubles until at most :data:`CHECKPOINT_CAP` checkpoints
-    remain, and every checkpoint off the new grid is dropped (keys left
-    without one too).  Returns ``(new mask, checkpoints kept)``.
-
-    A kept checkpoint stays on every later grid, so it has been stored
-    since the cycle it was taken at: the first exact recurrence found
-    against the store is always one minimal period long (DESIGN.md §5).
-    """
-    count = CHECKPOINT_CAP + 1
-    while count > CHECKPOINT_CAP:
-        mask = 2 * mask + 1
-        count = 0
-        for key in list(store):
-            kept = [checkpoint for checkpoint in store[key] if not checkpoint[0] & mask]
-            if kept:
-                store[key] = kept
-                count += len(kept)
-            else:
-                del store[key]
-    return mask, count
 
 
 def periods_to_skip(

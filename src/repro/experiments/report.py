@@ -2,7 +2,7 @@
 
 The harnesses in this package return structured result objects; this module
 turns them into artefacts a user can drop into a paper, a spreadsheet or a
-regression-tracking system.  EXPERIMENTS.md was produced with these helpers.
+regression-tracking system.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def table1_to_markdown(result: Table1Result, paper: Optional[Mapping[str, Mappin
 
     *paper* may map row labels to ``{"wp1": ..., "wp2": ...}`` reference
     values; when provided, two extra columns show the paper's numbers next to
-    the measured ones (the layout used in EXPERIMENTS.md).
+    the measured ones.
     """
     if paper:
         header = ("| RS configuration | Th WP1 paper | Th WP1 meas. | Th WP2 paper "

@@ -12,11 +12,13 @@ The paper's Table 1 reports, for the pipelined processor and both workloads
 :func:`run_table1` regenerates the same rows for this reproduction's
 processor.  The row list mirrors the paper's; the "Optimal" rows are produced
 by the configuration optimiser (see :func:`optimal_configuration` for the
-interpretation, also documented in EXPERIMENTS.md).
+interpretation).
 
-Every row's runs stop when the control unit halts, so the golden run's firing
-trace (left on the CPU's netlist) answers every unit's oracle and done flag:
-the batched rows of :func:`evaluate_rows` replay it (DESIGN.md §3).
+A golden run leaves its firing trace on the CPU's netlist, and that trace
+answers every unit's oracle and done flag: the batched rows of
+:func:`evaluate_rows` replay it (DESIGN.md §3).  Done-stop rows replay the
+one-shot program's trace; horizon rows replay the looped program's, whose
+golden run stops at its loop (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def optimal_configuration(
 ) -> RSConfiguration:
     """The "Optimal k (no CU-IC)" rows.
 
-    Interpretation (documented in EXPERIMENTS.md): keep the same total amount
+    Interpretation (see ROADMAP.md, item 4): keep the same total amount
     of wire pipelining as the corresponding "All k (no CU-IC)" row, but let an
     optimiser redistribute the relay stations over the links — a link may
     carry between 0 and ``k + 1`` stations, excluded links stay at 0 — so
@@ -218,13 +220,12 @@ def evaluate_rows(
     checking needs full traces and keeps the per-row path.  Rows evaluated
     without the check report ``equivalent=None``.
 
-    Done-stop batched rows on the compiled kernel are **replayed**: they run
-    on the golden run's own netlist, which carries its
+    Batched rows on the compiled kernel are **replayed**: they run on a
+    golden-run netlist, which carries its
     :class:`~repro.core.golden.FiringTrace`, so the kernel's replay layout
     times the row without calling any unit's ``fire`` (DESIGN.md §3).  A
     row the trace cannot answer runs in full; the rows are identical either
-    way.  Horizon rows (a fresh looped program no golden run traced),
-    equivalence-checked rows and the other kernels simulate in full.
+    way.  Equivalence-checked rows and the other kernels simulate in full.
 
     With *service* (an :class:`~repro.service.EvaluationService`) the rows
     are submitted through its scheduler instead: completed rows stream to
@@ -236,12 +237,13 @@ def evaluate_rows(
     (:meth:`~repro.cpu.workloads.common.Workload.looped`) for exactly that
     many cycles and reports the asymptotic system throughput (minimum
     firings per cycle) — the long-horizon form of the paper's RS-insertion
-    objective.  The five CPU units carry certified ``schedule_state()``
-    summaries, so the steady-state detector extrapolates these rows from one
-    detected loop period with counts bit-identical to full simulation
-    (DESIGN.md §5); *steady_state* switches the detector off when False
-    (the rows are identical either way).  The golden reference still runs
-    the one-shot program (a looped golden run would never halt).
+    objective.  The looped program's golden run stops at the first
+    recurrence of the machine's complete state, so its trace answers every
+    firing; the rows replay it, and the replay detects its own period over
+    trace positions and extrapolates with counts bit-identical to full
+    simulation (DESIGN.md §5).  *steady_state* switches that detection off
+    when False (the rows are identical either way).  ``golden_cycles``
+    still comes from the one-shot program.
     """
     builder = build_pipelined_cpu if pipelined else build_multicycle_cpu
     cpu = builder(workload.program)
@@ -258,6 +260,7 @@ def evaluate_rows(
             # variant (the one-shot programs halt long before a meaningful
             # horizon, and the loop is what makes the schedule periodic).
             row_cpu = builder(workload.looped().program)
+            row_cpu.run_golden(record_trace=False, max_cycles=max_cycles)
         result.rows.extend(
             _evaluate_rows_batched(
                 row_cpu, configurations, golden,
@@ -312,9 +315,8 @@ def _evaluate_rows_batched(
         )
     # Both wrapper flavours share one scheduler (and one worker pool): WP1
     # and WP2 rows interleave in a single tagged batch.  One CPU loop
-    # iteration spans thousands of cycles, so horizon rows let the detector
-    # search all the way to the horizon (the certified search keeps at most
-    # CHECKPOINT_CAP checkpoints, whatever the window).
+    # iteration spans thousands of cycles, so horizon rows let the replay's
+    # detector search all the way to the horizon.
     evaluator = BatchEvaluator.wrappers(
         cpu.netlist, "table1", kernel=kernel, workers=workers,
         service=service, on_result=on_result,

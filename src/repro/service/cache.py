@@ -5,16 +5,14 @@ netlist content, the relay-station binding, element capacities, the wrapper
 flavour) and one set of run controls, all kernels produce bit-identical
 :class:`~repro.engine.result.LidResult` counts — the equivalence property
 suite and the steady-state extrapolation contract (DESIGN.md §4-§5) pin
-exactly this.  The one field that differs is certified-mode
-``warmup_cycles``: ``fast`` reports the exact pre-period, ``compiled`` the
-checkpoint its recurrence was found against, which may lie up to one
-checkpoint spacing later (DESIGN.md §5).  The kernel name is part of the
-key, so each kernel's entries stay its own.  A result can therefore be
+exactly this.  The kernel name is part of the key, so each kernel's
+entries stay its own.  A result can therefore be
 addressed by the *content* of its inputs and replayed for free on any later
 request with the same address:
 
 ``key = sha256(schema version,
               netlist identity,                # sha256 of the netlist as built
+              looped trace?,                   # replays its golden run's loop
               kernel name,
               wrapper flavour, queue capacity, RS capacity,
               sorted per-channel relay-station counts,
@@ -31,7 +29,11 @@ configuration *label* is deliberately excluded (two rows asking for the
 same counts under different names share one simulation; the cached result
 is re-labelled per request), and the steady-state switches are *included*: counts would match
 either way, but the ``period``/``warmup_cycles``/``extrapolated`` metadata of
-the result would not, and a cache must return byte-identical answers.
+the result would not, and a cache must return byte-identical answers.  For
+the same reason the key says whether the netlist carries a looped trace of
+its own golden run (:func:`~repro.core.golden.replays_loop`): such rows
+replay and extrapolate where its untraced twin, of the same identity,
+simulates in full.
 
 Two tiers: an in-memory LRU (:class:`ResultCache`), and an optional on-disk
 JSON tier (one ``<key>.json`` file per entry under *cache_dir*) that survives
@@ -57,6 +59,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from ..core.golden import replays_loop
 from ..engine.batch import BatchResult, BatchRunner, _Item
 from ..engine.elaboration import resolve_rs_counts
 from ..engine.faults import corrupt_file, should_corrupt
@@ -72,7 +75,11 @@ from ..engine.kernel import RunControls
 #: v4: the compiled kernel's certified search reports the checkpoint it
 #: found the recurrence against as ``warmup_cycles``; v3 entries carry the
 #: old detector's value, which a fresh run no longer produces.
-CACHE_SCHEMA_VERSION = 4
+#: v5: the checkpoint search is gone, so certified (BFS) warmups are exact
+#: again; looped CPU horizon rows take their period and warmup from the
+#: replay of the golden run's loop, and the key says whether the netlist
+#: carries such a loop.
+CACHE_SCHEMA_VERSION = 5
 
 
 def controls_signature(controls: RunControls) -> Optional[Tuple]:
@@ -131,6 +138,7 @@ def result_key(
     components = (
         CACHE_SCHEMA_VERSION,
         netlist.identity,
+        replays_loop(netlist),
         runner.kernel_name,
         runner.relaxed,
         runner.queue_capacity if capacity is None else capacity,

@@ -54,6 +54,7 @@ import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.exceptions import SimulationError
+from ..core.golden import replays_loop
 from ..core.netlist import Netlist
 from ..core.relay_station import RelayStation
 from ..core.shell import DEFAULT_QUEUE_CAPACITY
@@ -211,7 +212,11 @@ class EvaluationService:
         layout and therefore the same caches.  With *name*, a registered
         layout is reused only when its netlist has the same identity; a
         mismatch is an error (silently swapping netlists under one name
-        would poison every consumer grouping results by layout).
+        would poison every consumer grouping results by layout).  A netlist
+        carrying a looped trace of its own golden run
+        (:func:`~repro.core.golden.replays_loop`) gets its own layout,
+        ``-loop`` suffixed: its rows replay where an untraced twin's
+        simulate in full.
         """
         kernel_name = resolve_kernel_name(kernel)
         queue_capacity = runner_kwargs.get("queue_capacity", DEFAULT_QUEUE_CAPACITY)
@@ -220,6 +225,7 @@ class EvaluationService:
             name = (
                 f"nl-{netlist.identity[:12]}-{'wp2' if relaxed else 'wp1'}"
                 f"-{kernel_name}-q{queue_capacity}-r{rs_capacity}"
+                f"{'-loop' if replays_loop(netlist) else ''}"
             )
         with self._lock:
             existing = self._runners.get(name)
@@ -229,6 +235,7 @@ class EvaluationService:
                 ))
             elif (
                 existing.netlist.identity != netlist.identity
+                or replays_loop(existing.netlist) != replays_loop(netlist)
                 or existing.relaxed != relaxed
                 or existing.kernel_name != kernel_name
                 or existing.queue_capacity != queue_capacity

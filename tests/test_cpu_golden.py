@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import golden
 from repro.cpu import Program, build_multicycle_cpu, build_pipelined_cpu
 from repro.cpu.workloads import (
     make_extraction_sort,
@@ -245,3 +246,49 @@ class TestWorkloadsOnGolden:
         a = [1, 2, 3, 4]
         b = [5, 6, 7, 8]
         assert reference_product(a, b, 2) == [19, 22, 43, 50]
+
+
+class TestLoopSearch:
+    """A looped program's golden run stops at its loop (DESIGN.md §5)."""
+
+    @pytest.mark.parametrize(
+        "builder", [build_pipelined_cpu, build_multicycle_cpu],
+        ids=["pipelined", "multicycle"],
+    )
+    @pytest.mark.parametrize(
+        "workload",
+        [make_extraction_sort(length=4, seed=5), make_matrix_multiply(size=2, seed=5)],
+        ids=["sort", "matmul"],
+    )
+    def test_loop_lookup_equals_a_raw_run(self, builder, workload, monkeypatch):
+        """Answers read through the loop equal a run three periods longer."""
+        program = workload.looped().program
+        cpu = builder(program)
+        result = cpu.run_golden(record_trace=False)
+        looped = cpu.netlist.firing_trace
+        assert not result.halted and looped.loop_start is not None
+        assert result.cycles == looped.firings
+        horizon = looped.firings + 3 * (looped.firings - looped.loop_start)
+
+        monkeypatch.setattr(golden, "_searches_loop", lambda netlist, stop: False)
+        raw_cpu = builder(program)
+        raw_cpu.run_golden(record_trace=False, max_cycles=horizon)
+        raw = raw_cpu.netlist.firing_trace
+        assert raw.loop_start is None and raw.firings == horizon
+        assert raw.done_at == looped.done_at
+        for answers, loop_answers in zip(raw.oracle, looped.oracle):
+            if answers is None:
+                assert loop_answers is None
+                continue
+            assert list(answers) == [
+                loop_answers[looped.position(k)] for k in range(horizon + 1)
+            ]
+
+    def test_done_stop_run_computes_no_summary(self, monkeypatch):
+        cpu = build_pipelined_cpu(make_extraction_sort(length=4, seed=5).program)
+        calls = []
+        for process in cpu.netlist.processes.values():
+            monkeypatch.setattr(process, "schedule_state", lambda: calls.append(1))
+        result = cpu.run_golden(record_trace=False)
+        assert result.halted and not calls
+        assert cpu.netlist.firing_trace.loop_start is None

@@ -346,7 +346,8 @@ class TestControlUnitBasics:
 
 
 class TestScheduleSummaries:
-    """Certified schedule_state summaries of the five units (DESIGN.md §5)."""
+    """Complete schedule_state summaries of the five units, which the golden
+    run's loop search compares (DESIGN.md §5)."""
 
     def test_all_units_declare_complete_summaries(self):
         units = (
@@ -369,7 +370,8 @@ class TestScheduleSummaries:
         rf.firings = 5
         before = rf.schedule_state()
         rf.firings += 1000
-        rf.schedule_jump(1000)
+        rf.pending_alu_writeback = {1007: 3}
+        rf.pending_mem_writeback = {1008: 4}
         assert rf.schedule_state() == before
 
         dc = DataCache([0] * 8)
@@ -379,7 +381,9 @@ class TestScheduleSummaries:
         dc.firings = 4
         before = dc.schedule_state()
         dc.firings += 250
-        dc.schedule_jump(250)
+        dc.pending_access = {256: "read"}
+        dc.pending_store_data = {255: 256}
+        dc.store_values = {256: 9}
         assert dc.schedule_state() == before
 
         cu = ControlUnit()
@@ -387,7 +391,7 @@ class TestScheduleSummaries:
         cu.scoreboard = {3: cu.firings + 2}
         before = cu.schedule_state()
         cu.firings += 77
-        cu.schedule_jump(77)
+        cu.scoreboard = {3: cu.firings + 2}
         assert cu.schedule_state() == before
 
     def test_expired_scoreboard_entries_do_not_change_the_summary(self):
@@ -397,32 +401,15 @@ class TestScheduleSummaries:
         cu.scoreboard = {5: 3}  # ready tags <= firings can never gate issue
         assert cu.schedule_state() == base
 
-    def test_data_cache_digest_tracks_memory_content(self):
-        dc = DataCache([0] * 8)
-        base = dc.schedule_state()[0]
-        dc.pending_access[dc.firings] = "write"
-        dc.store_values[dc.firings] = 5
-        dc.step({"cu_dc": None, "rf_dc": None, "alu_dc": MemAddress(address=2)})
-        changed = dc.schedule_state()[0]
-        assert changed != base
-        # Writing the original value back restores the digest exactly.
-        dc.pending_access[dc.firings] = "write"
-        dc.store_values[dc.firings] = 0
-        dc.step({"cu_dc": None, "rf_dc": None, "alu_dc": MemAddress(address=2)})
-        assert dc.schedule_state()[0] == base
-        # The verification state exposes the exact memory behind the digest.
-        memory, summary = dc.schedule_verify_state()
-        assert memory == tuple(dc.memory)
-        assert summary == dc.schedule_state()
-
-    def test_data_cache_digest_resets_with_memory(self):
+    def test_data_cache_summary_carries_the_memory_image(self):
         dc = DataCache([1, 2, 3])
+        assert dc.schedule_state()[0] == (1, 2, 3)
         dc.pending_access[dc.firings] = "write"
         dc.store_values[dc.firings] = 99
         dc.step({"cu_dc": None, "rf_dc": None, "alu_dc": MemAddress(address=1)})
-        assert dc.schedule_state()[0] != 0
+        assert dc.schedule_state()[0] == (1, 99, 3)
         dc.reset()
-        assert dc.schedule_state()[0] == 0 and dc.memory == [1, 2, 3]
+        assert dc.schedule_state()[0] == (1, 2, 3) and dc.memory == [1, 2, 3]
 
 
 # Reference formulations of the three dynamic summaries, kept verbatim from
@@ -471,7 +458,7 @@ def _reference_rf_summary(rf):
 def _reference_dc_summary(dc):
     tag = dc.firings
     return (
-        dc._memory_digest,
+        tuple(dc.memory),
         tuple(sorted((due - tag, kind) for due, kind in dc.pending_access.items())),
         tuple(
             sorted(

@@ -580,8 +580,13 @@ def test_schedule_state_sampled_once_per_run():
 
 
 class TestTable1Plumbing:
-    def _kernels(self, monkeypatch, **kwargs):
-        """The set of kernels that produced ``evaluate_rows``' batched rows."""
+    def _kernels(self, monkeypatch, fallbacks=None, **kwargs):
+        """The set of kernels that produced ``evaluate_rows``' batched rows.
+
+        The rows' replay fallback reasons are added to *fallbacks*.
+        """
+        if fallbacks is None:
+            fallbacks = set()
         from repro.engine.evaluator import BatchEvaluator
         from repro.experiments import table1
 
@@ -591,6 +596,7 @@ class TestTable1Plumbing:
         def spy(self, items, **controls):
             results = original(self, items, **controls)
             seen.update(row.kernel for rows in results for row in rows)
+            fallbacks.update(row.fallback for rows in results for row in rows)
             return results
 
         monkeypatch.setattr(BatchEvaluator, "run_wrappers", spy)
@@ -602,9 +608,15 @@ class TestTable1Plumbing:
     def test_done_stop_rows_replay_the_golden_trace(self, monkeypatch):
         assert self._kernels(monkeypatch) == {"replay"}
 
+    def test_horizon_rows_replay_the_looped_golden_trace(self, monkeypatch):
+        fallbacks = set()
+        kernels = self._kernels(monkeypatch, fallbacks, horizon=3_000)
+        assert kernels == {"replay"} and fallbacks == {None}
+
     @pytest.mark.parametrize(
         "kwargs, kernel",
-        [({"horizon": 3_000}, "compiled"), ({"kernel": "reference"}, "reference"),
+        [({"horizon": 3_000, "kernel": "fast"}, "fast"),
+         ({"kernel": "reference"}, "reference"),
          ({"kernel": "fast"}, "fast")],
         ids=["horizon", "reference", "fast"],
     )

@@ -805,9 +805,11 @@ class TestHistoryFreeRows:
         was cached without its period.
         """
         ring = ring_topology(stages=6, rs_total=0)
-        cpu = build_pipelined_cpu(
+        looped = build_pipelined_cpu(
             make_extraction_sort(length=8, seed=7, repeat=True).program
-        ).netlist
+        )
+        looped.run_golden(record_trace=False)  # its rows replay the loop
+        cpu = looped.netlist
         config = RSConfiguration.uniform(1, exclude=("CU-IC",))
 
         def cpu_row(service):
@@ -827,6 +829,41 @@ class TestHistoryFreeRows:
             after_ring = cpu_row(service)
         assert expected.extrapolated and expected.period is not None
         assert after_ring == expected
+
+
+class TestTracedTwins:
+    @pytest.mark.parametrize("first", ["traced", "twin"])
+    def test_traced_and_untraced_twins_keep_their_own_rows(self, first):
+        """One service, one horizon row, two netlists of one identity.
+
+        The looped golden-run netlist's row replays its loop and
+        extrapolates; its untraced twin's simulates in full.  Each gets the
+        row a fresh run of its own gives, whichever is served first.
+        """
+        program = make_extraction_sort(length=5, seed=3, repeat=True).program
+        cpu = build_pipelined_cpu(program)
+        cpu.run_golden(record_trace=False)
+        netlists = {"traced": cpu.netlist, "twin": build_pipelined_cpu(program).netlist}
+        assert netlists["traced"].identity == netlists["twin"].identity
+        config = RSConfiguration.uniform(1, exclude=("CU-IC",))
+        controls = dict(stop_process="CU", horizon=8_000)
+        expected = {
+            name: BatchRunner(netlist, relaxed=True, kernel="compiled").run_many(
+                [config], **controls
+            )[0]
+            for name, netlist in netlists.items()
+        }
+        assert expected["traced"].extrapolated
+        assert not expected["twin"].extrapolated
+
+        order = [first] + [name for name in netlists if name != first]
+        with EvaluationService() as service:
+            for name in order:
+                layout = service.ensure_layout(
+                    netlists[name], relaxed=True, kernel="compiled"
+                )
+                [row] = service.submit([(layout, config)], **controls).ordered_results()
+                assert row == expected[name], name
 
 
 class TestIdentitySurvivesRuns:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -53,6 +56,35 @@ class TestEnumerateLoops:
         assert len(loops) == 7
         lengths = sorted(loop.length for loop in loops)
         assert lengths == [2, 2, 2, 2, 3, 3, 4]
+
+    def test_loops_start_at_their_smallest_process_in_sorted_order(
+        self, cpu_netlist
+    ):
+        loops = enumerate_loops(cpu_netlist)
+        assert all(loop.processes[0] == min(loop.processes) for loop in loops)
+        assert [loop.processes for loop in loops] == sorted(
+            loop.processes for loop in loops
+        )
+
+    @pytest.mark.parametrize(
+        "command", [["figure1"], ["topology", "describe", "ring"]],
+        ids=["figure1", "topology-describe-ring"],
+    )
+    def test_reports_do_not_depend_on_the_hash_seed(self, command):
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "repro", *command],
+                capture_output=True,
+                timeout=120,
+                check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_rejects_both_counts_and_configuration(self, cpu_netlist):
         with pytest.raises(ConfigurationError):

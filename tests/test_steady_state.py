@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    DEFAULT_QUEUE_CAPACITY,
     SCHEDULE_INERT,
     Channel,
     CounterSource,
@@ -51,11 +52,7 @@ from repro.engine.codegen import (
     generate_run_source,
 )
 from repro.engine.kernel import RunControls
-from repro.engine.steady_state import (
-    CHECKPOINT_CAP,
-    periods_to_skip,
-    thin_checkpoints,
-)
+from repro.engine.steady_state import certify_model, periods_to_skip
 
 DETECTING_KERNELS = ("fast", "compiled")
 
@@ -268,25 +265,25 @@ class TestExtrapolationEquivalence:
         )
         _assert_matches_full(full, got)
 
-    def test_case_study_cpu_is_certified(self):
-        """All five CPU units declare complete summaries -> certified plan."""
-        cpu = build_pipelined_cpu(make_extraction_sort(length=5, seed=11).program)
+    def test_case_study_cpu_has_no_kernel_plan(self):
+        """Complete summaries, but the CU overrides the oracle and done hooks.
+
+        Its answers follow the data, so no kernel extrapolates the CPU: its
+        long runs replay a looped golden run instead (DESIGN.md §5).
+        """
+        cpu = build_pipelined_cpu(
+            make_extraction_sort(length=5, seed=11, repeat=True).program
+        )
+        assert all(p.schedule_complete for p in cpu.netlist.processes.values())
         config = RSConfiguration.uniform(1, exclude=("CU-IC",))
-        model = elaborate(
-            cpu.netlist,
-            rs_counts=config.per_channel(cpu.netlist),
-        )
-        plan = detection_plan(model, InstrumentSet.none(), True, None, None)
-        assert plan is not None and plan.certified
-        assert plan.verify_fns and len(plan.verify_fns) == len(plan.sig_fns)
-        # Certified plans only arm on asymptotic runs (horizon / targets):
-        # a complete-state recurrence cannot precede a done-based stop.
-        assert (
-            detection_plan(
-                model, InstrumentSet.none(), True, None, None, asymptotic=False
+        for relaxed in (False, True):
+            model = elaborate(
+                cpu.netlist,
+                rs_counts=config.per_channel(cpu.netlist),
+                relaxed=relaxed,
             )
-            is None
-        )
+            assert certify_model(model) is None
+            assert detection_plan(model, InstrumentSet.none(), True, None, None) is None
 
     def test_one_shot_cpu_runs_stay_unextrapolated(self):
         """Done-stopped (terminating) CPU runs never arm the detector."""
@@ -300,16 +297,58 @@ class TestExtrapolationEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Looping CPU workloads (certified detection, DESIGN.md §5)
+# Looping CPU workloads: rows replay the golden run's loop (DESIGN.md §5)
 # ---------------------------------------------------------------------------
+
+def _looped_cpu(workload, builder=build_pipelined_cpu):
+    """A CPU on *workload*'s looped program whose golden run found its loop."""
+    cpu = builder(workload.looped().program)
+    cpu.run_golden(record_trace=False)
+    assert cpu.netlist.firing_trace.loop_start is not None
+    return cpu
+
+
+def _replayed(
+    cpu, configuration, relaxed, queue_capacity=DEFAULT_QUEUE_CAPACITY, **controls
+):
+    """One row of *cpu* timed from its looped trace, stats and occupancy on."""
+    model = elaborate(
+        cpu.netlist, configuration=configuration, relaxed=relaxed,
+        queue_capacity=queue_capacity,
+    )
+    controls.setdefault("stop_process", "CU")
+    result = make_kernel(model, "compiled").run(
+        RunControls(**controls),
+        InstrumentSet(trace=False, shell_stats=True, occupancy=True),
+        replay=cpu.netlist.firing_trace,
+    )
+    assert result.kernel == "replay" and result.fallback is None
+    return result
+
+
+def _full(builder, workload, kernel, **kwargs):
+    """The same row simulated in full on an untraced twin CPU."""
+    twin = builder(workload.looped().program)
+    kwargs.setdefault("stop_process", "CU")
+    return run_lid(
+        twin.netlist, kernel=kernel, record_trace=False, steady_state=False,
+        **kwargs,
+    )
+
 
 def _assert_cpu_identical(full: LidResult, got: LidResult) -> None:
     _assert_matches_full(full, got)
     assert got.extrapolated and got.period is not None
+    assert not full.extrapolated
 
 
 class TestLoopedCpuExtrapolation:
-    """`table1 --horizon` acceptance: looped CPU rows extrapolate exactly."""
+    """`table1 --horizon` acceptance: replayed looped rows extrapolate exactly.
+
+    Rows of a looped program whose golden run found its loop replay the
+    trace and detect over trace positions; each must equal the same row
+    simulated in full on an untraced twin.
+    """
 
     CONFIG = staticmethod(
         lambda: RSConfiguration.uniform(1, exclude=("CU-IC",))
@@ -327,35 +366,29 @@ class TestLoopedCpuExtrapolation:
             workload = make_extraction_sort(length=6, seed=7, repeat=True)
         else:
             workload = make_matrix_multiply(size=2, seed=7, repeat=True)
-        cpu = build_pipelined_cpu(workload.program)
         config = self.CONFIG()
-        full = cpu.run_wire_pipelined(
-            configuration=config, relaxed=relaxed, record_trace=False,
-            kernel=kernel, horizon=25_000, steady_state=False,
+        full = _full(
+            build_pipelined_cpu, workload, kernel,
+            configuration=config, relaxed=relaxed, horizon=25_000,
         )
-        full_memory = list(cpu.data_cache.memory)
-        got = cpu.run_wire_pipelined(
-            configuration=config, relaxed=relaxed, record_trace=False,
-            kernel=kernel, horizon=25_000, steady_state=True,
-        )
+        got = _replayed(_looped_cpu(workload), config, relaxed, horizon=25_000)
         _assert_cpu_identical(full, got)
-        # schedule_jump realigns the units' absolute-tag state, so even the
-        # architectural results (data memory) match full simulation exactly.
-        assert list(cpu.data_cache.memory) == full_memory
-        assert not cpu.check_memory(workload.expected_memory)
 
     @pytest.mark.parametrize("kernel", DETECTING_KERNELS)
     def test_target_firings_stop_mode(self, kernel):
         workload = make_extraction_sort(length=5, seed=3, repeat=True)
-        cpu = build_pipelined_cpu(workload.program)
         config = self.CONFIG()
-        kwargs = dict(
-            configuration=config, relaxed=True, record_trace=False,
-            kernel=kernel, target_firings={"CU": 12_000}, max_cycles=100_000,
-            steady_state_window=50_000,
+        controls = dict(
+            stop_process=None, target_firings={"CU": 12_000}, max_cycles=100_000
         )
-        full = run_lid(cpu.netlist, steady_state=False, **kwargs)
-        got = run_lid(cpu.netlist, steady_state=True, **kwargs)
+        full = _full(
+            build_pipelined_cpu, workload, kernel,
+            configuration=config, relaxed=True, **controls,
+        )
+        got = _replayed(
+            _looped_cpu(workload), config, True, steady_state_window=50_000,
+            **controls,
+        )
         _assert_cpu_identical(full, got)
         assert got.firings["CU"] >= 12_000
 
@@ -363,16 +396,13 @@ class TestLoopedCpuExtrapolation:
         from repro.cpu import build_multicycle_cpu
 
         workload = make_extraction_sort(length=5, seed=3, repeat=True)
-        cpu = build_multicycle_cpu(workload.program)
         config = self.CONFIG()
-        full = cpu.run_wire_pipelined(
-            configuration=config, relaxed=True, record_trace=False,
-            horizon=30_000, steady_state=False,
+        full = _full(
+            build_multicycle_cpu, workload, "compiled",
+            configuration=config, relaxed=True, horizon=30_000,
         )
-        got = cpu.run_wire_pipelined(
-            configuration=config, relaxed=True, record_trace=False,
-            horizon=30_000, steady_state=True,
-        )
+        cpu = _looped_cpu(workload, build_multicycle_cpu)
+        got = _replayed(cpu, config, True, horizon=30_000)
         _assert_cpu_identical(full, got)
 
     @given(data=st.data())
@@ -382,7 +412,7 @@ class TestLoopedCpuExtrapolation:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_random_looped_cpu_extrapolates_exactly(self, data):
-        """Hypothesis: extrapolated == full across kernels and stop modes."""
+        """Hypothesis: replayed rows == full reference rows, WP1 and WP2."""
         from repro.cpu.workloads import make_matrix_multiply
 
         if data.draw(st.booleans(), label="use_sort"):
@@ -397,141 +427,123 @@ class TestLoopedCpuExtrapolation:
                 seed=data.draw(st.integers(0, 99), label="seed"),
                 repeat=True,
             )
-        cpu = build_pipelined_cpu(workload.program)
-        links = [name for name in cpu.netlist.link_names() if name != "CU-IC"]
-        assignment = {
-            link: data.draw(st.integers(0, 2), label=link) for link in links
-        }
-        config = RSConfiguration.from_mapping(assignment, label="candidate")
-        kwargs = dict(
-            configuration=config,
-            relaxed=data.draw(st.booleans(), label="relaxed"),
-            queue_capacity=data.draw(st.integers(2, 6), label="capacity"),
-            record_trace=False,
-            max_cycles=120_000,
-        )
-        if data.draw(st.booleans(), label="horizon_stop"):
-            kwargs["horizon"] = 15_000
-        else:
-            kwargs["target_firings"] = {"CU": 6_000}
-            kwargs["steady_state_window"] = 15_000
-        full = run_lid(cpu.netlist, steady_state=False, kernel="fast", **kwargs)
-        for kernel in DETECTING_KERNELS:
-            got = run_lid(
-                cpu.netlist, steady_state=True, kernel=kernel, **kwargs
-            )
-            _assert_matches_full(full, got)
-
-
-def _grid_spacing(cycles: int) -> int:
-    """Checkpoint spacing of the certified search when it probes *cycles*.
-
-    Replays the compiled search's grid over cycles ``0 .. cycles - 1``
-    without a recurrence: every on-grid cycle becomes a checkpoint and the
-    store is thinned past :data:`CHECKPOINT_CAP`.
-    """
-    store, mask, count = {}, 0, 0
-    for cycle in range(cycles):
-        if not cycle & mask:
-            store.setdefault(cycle % 3, []).append((cycle,))
-            count += 1
-            if count > CHECKPOINT_CAP:
-                mask, count = thin_checkpoints(store, mask)
-    return mask + 1
-
-
-class TestCertifiedCheckpoints:
-    """The compiled kernel's certified search: exact checkpoints, no hashes."""
-
-    @given(data=st.data())
-    @settings(
-        max_examples=12,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_compiled_matches_full_simulation_and_fast(self, data):
-        from repro.cpu.workloads import make_matrix_multiply
-
-        if data.draw(st.booleans(), label="use_sort"):
-            workload = make_extraction_sort(
-                length=data.draw(st.integers(3, 5), label="length"),
-                seed=data.draw(st.integers(0, 99), label="seed"),
-                repeat=True,
-            )
-        else:
-            workload = make_matrix_multiply(
-                size=2, seed=data.draw(st.integers(0, 99), label="seed"),
-                repeat=True,
-            )
-        cpu = build_pipelined_cpu(workload.program)
+        cpu = _looped_cpu(workload)
         links = [name for name in cpu.netlist.link_names() if name != "CU-IC"]
         config = RSConfiguration.from_mapping(
             {link: data.draw(st.integers(0, 2), label=link) for link in links},
             label="candidate",
         )
-        kwargs = dict(
-            configuration=config,
-            relaxed=data.draw(st.booleans(), label="relaxed"),
-            queue_capacity=data.draw(st.integers(2, 6), label="capacity"),
-            record_trace=False,
-            max_cycles=120_000,
-            steady_state_window=15_000,
+        relaxed = data.draw(st.booleans(), label="relaxed")
+        capacity = data.draw(st.integers(2, 4), label="capacity")
+        full = _full(
+            build_pipelined_cpu, workload, "reference", configuration=config,
+            relaxed=relaxed, queue_capacity=capacity, horizon=15_000,
         )
-        if data.draw(st.booleans(), label="horizon_stop"):
-            kwargs["horizon"] = 15_000
-        else:
-            kwargs["target_firings"] = {"CU": 6_000}
-        full = run_lid(cpu.netlist, steady_state=False, kernel="compiled", **kwargs)
-        full_memory = list(cpu.data_cache.memory)
-        fast = run_lid(cpu.netlist, kernel="fast", **kwargs)
-        got = run_lid(cpu.netlist, kernel="compiled", **kwargs)
+        got = _replayed(cpu, config, relaxed, capacity, horizon=15_000)
         _assert_matches_full(full, got)
-        assert list(cpu.data_cache.memory) == full_memory
-        assert got.period == fast.period
-        if fast.extrapolated:
-            assert got.extrapolated
-        if got.period is not None:
-            spacing = _grid_spacing(got.warmup_cycles + got.period)
-            assert fast.warmup_cycles <= got.warmup_cycles
-            assert got.warmup_cycles < fast.warmup_cycles + spacing
+
+    def test_untraced_rows_simulate_in_full(self):
+        """Without a golden run the rows neither replay nor extrapolate."""
+        workload = make_extraction_sort(length=5, seed=3, repeat=True)
+        config = self.CONFIG()
+        for relaxed in (False, True):
+            twin = build_pipelined_cpu(workload.looped().program)
+            [row] = BatchRunner(
+                twin.netlist, relaxed=relaxed, kernel="compiled"
+            ).run_many(
+                [config], stop_process="CU", horizon=8_000,
+                steady_state_window=8_000,
+            )
+            [reference] = BatchRunner(
+                twin.netlist, relaxed=relaxed, kernel="reference"
+            ).run_many([config], stop_process="CU", horizon=8_000)
+            assert row.kernel == "compiled" and row.fallback is None
+            assert row.period is None and not row.extrapolated
+            assert row == reference
+
+
+#: The BFS instance below recurs within its first CHECKPOINT_CAP cycles.
+CHECKPOINT_CAP = 64
+
+BFS_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3), (2, 6)]
+
+
+@st.composite
+def bfs_rows(draw):
+    """A random BFS ring row: graph, PE count, wrapper, capacity, RS draws."""
+    n = draw(st.integers(3, 7))
+    edges = [(0, 1)] + draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        min_size=1, max_size=12,
+    ))
+    n_pe = draw(st.integers(1, 3))
+    relaxed = draw(st.booleans())
+    capacity = draw(st.integers(1, 3))
+    return edges, n_pe, relaxed, capacity, draw(st.data())
+
+
+class TestCertifiedCheckpoints:
+    """Certified detection: every searched cycle is an exact checkpoint.
+
+    The BFS processing elements declare complete summaries and no control
+    hook, so the one search's key holds their queued token values as exact
+    tuples: no hash, no digest, and every detecting kernel reports the same
+    exact warmup.
+    """
+
+    @given(case=bfs_rows())
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_compiled_matches_full_simulation_and_fast(self, case):
+        from repro.workloads.graph import make_bfs_workload
+
+        edges, n_pe, relaxed, capacity, data = case
+        workload = make_bfs_workload(edges, root=0, n_pe=n_pe)
+        rs_counts = {
+            name: data.draw(st.integers(0, 2), label=name)
+            for name in workload.rs_counts
+        }
+        model = elaborate(
+            workload.netlist, rs_counts=rs_counts, relaxed=relaxed,
+            queue_capacity=capacity,
+        )
+        assert certify_model(model)[1]
+        instruments = InstrumentSet(trace=False, shell_stats=True, occupancy=True)
+        controls = dict(horizon=4_000, max_cycles=10**6)
+        full = make_kernel(model, "compiled").run(
+            RunControls(steady_state=False, **controls), instruments
+        )
+        fast = make_kernel(model, "fast").run(RunControls(**controls), instruments)
+        got = make_kernel(model, "compiled").run(RunControls(**controls), instruments)
+        _assert_matches_full(full, got)
+        _assert_matches_full(full, fast)
+        assert (got.period, got.warmup_cycles, got.extrapolated) == (
+            fast.period, fast.warmup_cycles, fast.extrapolated
+        )
 
     def test_window_edge_still_extrapolates(self):
         """A window ending where fast first sees the recurrence suffices."""
-        workload = make_extraction_sort(length=5, seed=3, repeat=True)
-        cpu = build_pipelined_cpu(workload.program)
+        from repro.workloads.graph import make_bfs_workload
+
+        workload = make_bfs_workload(BFS_EDGES, root=0, n_pe=3)
         kwargs = dict(
-            configuration=RSConfiguration.uniform(1, exclude=("CU-IC",)),
-            relaxed=True, record_trace=False, horizon=30_000,
+            rs_counts=workload.rs_counts, record_trace=False, horizon=30_000
         )
-        fast = run_lid(cpu.netlist, kernel="fast", **kwargs)
+        fast = run_lid(workload.netlist, kernel="fast", **kwargs)
         assert fast.extrapolated
         window = fast.warmup_cycles + fast.period
         got = run_lid(
-            cpu.netlist, kernel="compiled", steady_state_window=window, **kwargs
+            workload.netlist, kernel="compiled", steady_state_window=window,
+            **kwargs,
         )
         assert got.extrapolated and got.period == fast.period
-        full = run_lid(cpu.netlist, kernel="compiled", steady_state=False, **kwargs)
+        full = run_lid(
+            workload.netlist, kernel="compiled", steady_state=False, **kwargs
+        )
         _assert_matches_full(full, got)
-
-    def test_thinning_keeps_a_bounded_complete_grid(self):
-        """Over a 300k-cycle feed the store stays within the cap, on the grid."""
-        store, mask, count = {}, 0, 0
-        for cycle in range(300_000):
-            if cycle & mask:
-                continue
-            store.setdefault(cycle % 5, []).append((cycle,))
-            count += 1
-            if count > CHECKPOINT_CAP:
-                mask, count = thin_checkpoints(store, mask)
-                kept = sorted(
-                    c for checkpoints in store.values() for (c,) in checkpoints
-                )
-                assert count == len(kept) <= CHECKPOINT_CAP
-                assert all(checkpoints for checkpoints in store.values())
-                # Exactly the multiples of the new spacing seen so far.
-                assert kept == list(range(0, cycle + 1, mask + 1))
-        assert mask + 1 == _grid_spacing(300_000)
-        assert count <= CHECKPOINT_CAP
 
     def test_bfs_horizon_row_keeps_an_exact_warmup(self):
         """A recurrence within the first cap cycles is found exactly."""
@@ -551,15 +563,16 @@ class TestCertifiedCheckpoints:
         assert got.warmup_cycles == fast.warmup_cycles
 
     def test_certified_source_has_no_snapshot_hash(self):
-        cpu = build_pipelined_cpu(
-            make_extraction_sort(length=4, seed=1, repeat=True).program
-        )
-        model = elaborate(cpu.netlist, relaxed=True)
+        from repro.workloads.graph import make_bfs_workload
+
+        workload = make_bfs_workload(BFS_EDGES, root=0, n_pe=2)
+        model = elaborate(workload.netlist, rs_counts=workload.rs_counts)
+        assert certify_model(model)[1]
         source = generate_run_source(
             model, InstrumentSet.none(), STOP_ANY_DONE, steady=True, horizon=True
         )
-        assert "_ss_thin(" in source
-        assert "hash(" not in source and "_ss == 2" not in source
+        assert "tuple(q0)" in source and "_ss == 2" in source
+        assert "hash(" not in source
 
 
 class TestLoopedWorkloads:
@@ -622,12 +635,13 @@ class TestLoopedWorkloads:
         from repro.engine import BatchRunner
 
         workload = make_extraction_sort(length=4, seed=2005, repeat=True)
-        cpu = build_pipelined_cpu(workload.program)
+        cpu = _looped_cpu(workload)
         runner = BatchRunner(cpu.netlist, relaxed=True, kernel="compiled")
         [summary] = runner.run_many(
             [RSConfiguration.uniform(1, exclude=("CU-IC",))],
             stop_process="CU", horizon=20_000, steady_state_window=20_000,
         )
+        assert summary.kernel == "replay"
         assert summary.extrapolated and summary.period is not None
         assert summary.cycles == 20_000
 
@@ -1201,7 +1215,7 @@ class TestSharedCodeCache:
                 rs_counts=dict(zip(netlist.channels, counts)),
                 relaxed=relaxed, queue_capacity=capacity,
             )
-            plan = detection_plan(model, instruments, asymptotic=True)
+            plan = detection_plan(model, instruments)
             fns.add(id(compiled_run_fn(
                 model, instruments, STOP_ANY_DONE,
                 steady=plan is not None, horizon=True,
