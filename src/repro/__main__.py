@@ -150,9 +150,9 @@ def _add_table1(subparsers) -> None:
         metavar="N",
         help=(
             "run every row on the looping workload variant for exactly N "
-            "cycles and report the asymptotic throughput; the CPU units' "
-            "certified schedule summaries let the steady-state detector "
-            "extrapolate the rows bit-identically to full simulation"
+            "cycles and report the asymptotic throughput; the rows replay "
+            "the looped program's golden run, whose schedule repeats, so "
+            "they extrapolate bit-identically to full simulation"
         ),
     )
     _add_kernel_option(parser)

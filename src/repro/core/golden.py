@@ -51,7 +51,8 @@ class FiringTrace:
     #: was recorded on; a layout replays only a trace of its own netlist.
     #: Per-process fields below are in that netlist's process order.
     netlist_identity: str
-    #: Firings every process made in the golden run (one per cycle).
+    #: Firings the trace covers: every process' firings in the golden run
+    #: (one per cycle), or on a looped trace the loop start plus the period.
     firings: int
     #: Per process: the oracle answer before firing ``k`` at index ``k``,
     #: for ``k`` in ``0..firings`` (the last one after the final firing), or
@@ -60,10 +61,14 @@ class FiringTrace:
     #: Per process: the firing count at which ``is_done()`` first held, or
     #: None when it did not hold within the trace (or is never overridden).
     done_at: Tuple[Optional[int], ...]
-    #: The loop start ``L`` when the golden run's state recurred: the state
-    #: after ``firings`` firings equals the state after ``L``, so the answers
-    #: from index ``L`` on repeat with period ``firings - L`` forever.  None
-    #: when the trace ends where the run stopped.
+    #: The loop start ``L`` when the golden run's state recurred with period
+    #: ``C = firings - L``: every oracle answer from index ``L`` on repeats
+    #: with period ``C`` forever.  ``L`` marks where the *answers* repeat,
+    #: the smallest such index (never below a recorded ``done_at``), not
+    #: where the state does: the golden run found its state recurring at
+    #: Brent's power-of-two save point, at or after ``L``, and the trace is
+    #: cut to ``L + C`` firings.  None when the trace ends where the run
+    #: stopped.
     loop_start: Optional[int] = None
 
     def position(self, firing: int) -> int:
@@ -136,17 +141,40 @@ class _FiringRecorder:
     def result(
         self, firings: int, loop_start: Optional[int] = None
     ) -> Optional[FiringTrace]:
-        oracle: List[Optional[Union[bytes, Tuple[int, ...]]]] = []
+        """The trace of *firings* firings; with *loop_start*, a looped one.
+
+        The state after *firings* firings equals the state after
+        *loop_start*, so every answer sequence repeats with period ``C =
+        firings - loop_start`` from there.  The trace's loop start is moved
+        back to the smallest index from which all of them repeat with ``C``
+        (never below a recorded ``done_at``), and the trace keeps ``loop
+        start + C`` firings.
+        """
+        sequences = []
         for index, entry in enumerate(self.oracles):
+            if entry is not None:
+                self.answer(index)  # the answer after the last firing
+                sequences.append(entry[2])
+        if not self.valid:
+            return None
+        if loop_start is not None:
+            period = firings - loop_start
+            floor = max((at for at in self.done_at if at is not None), default=0)
+            while loop_start > floor and all(
+                answers[loop_start - 1] == answers[loop_start - 1 + period]
+                for answers in sequences
+            ):
+                loop_start -= 1
+            firings = loop_start + period
+        oracle: List[Optional[Union[bytes, Tuple[int, ...]]]] = []
+        for entry in self.oracles:
             if entry is None:
                 oracle.append(None)
                 continue
-            self.answer(index)  # the answer after the last firing
             process, _, answers = entry
+            del answers[firings + 1:]
             narrow = len(process.input_ports) <= 8
             oracle.append(bytes(answers) if narrow else tuple(answers))
-        if not self.valid:
-            return None
         return FiringTrace(
             netlist_identity=self.identity,
             firings=firings,
@@ -238,8 +266,10 @@ class GoldenSimulator:
         0 and at every power of two, and the run ends at the first cycle
         whose state equals the saved one.  Every process fires once per
         cycle, so the firing-relative tags in the summaries compare as they
-        are.  Its trace then loops from the saved cycle (``loop_start``),
-        with the minimal period.
+        are.  The period found is the minimal one; the trace loops from
+        the first index at which every answer repeats with it
+        (:attr:`FiringTrace.loop_start`), and ``cycles`` stays the cycle
+        the search stopped at.
         """
         netlist = self.netlist
         netlist.reset()
@@ -265,7 +295,8 @@ class GoldenSimulator:
 
         processes = list(netlist.processes.values())
         search = _searches_loop(netlist, stop_process)
-        saved = None
+        saved_summaries: Tuple = ()
+        saved_channels: Tuple = ()
         saved_at = 0
         loop_start: Optional[int] = None
 
@@ -273,16 +304,27 @@ class GoldenSimulator:
         halted = False
         drain_remaining: Optional[int] = None
         while cycles < max_cycles:
-            if search:
-                state = (
-                    tuple(process.schedule_state() for process in processes),
-                    tuple(channel_values.values()),
+            # Between save points no summary tuple is built: the channel
+            # registers (one cheap tuple that differs on most cycles) are
+            # compared first, then the summaries one at a time, so a cycle
+            # stops at its first difference.
+            if (
+                search
+                and cycles
+                and tuple(channel_values.values()) == saved_channels
+                and all(
+                    process.schedule_state() == summary
+                    for process, summary in zip(processes, saved_summaries)
                 )
-                if state == saved:
-                    loop_start = saved_at
-                    break
-                if not cycles & (cycles - 1):  # cycle 0 or a power of two
-                    saved, saved_at = state, cycles
+            ):
+                loop_start = saved_at
+                break
+            if search and not cycles & (cycles - 1):  # 0 or a power of two
+                saved_summaries = tuple(
+                    process.schedule_state() for process in processes
+                )
+                saved_channels = tuple(channel_values.values())
+                saved_at = cycles
             # Gather inputs for every process from the channel registers.
             next_values: Dict[str, Any] = {}
             for index, (name, process) in enumerate(netlist.processes.items()):

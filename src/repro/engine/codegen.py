@@ -70,7 +70,10 @@ netlist shape, and every fresh layout of an already-seen shape (DESIGN.md
   again in full.  The replay of a looped trace (:data:`REPLAY_LOOPED`)
   reads each process' answers at a trace position ``o7`` that wraps at the
   loop; its steady-state key holds those positions in place of process
-  summaries.
+  summaries, it keys nothing until every position is inside the loop, and
+  without stat instruments or firing targets it ends at the first
+  recurrence, reading the counters at the bound from the searched cycles'
+  firing history (:func:`~repro.engine.steady_state.finish_from_history`).
 
 The generated function is an entire run loop (not a per-cycle callable): the
 stop condition, drain window and deadlock detection are cheap per-cycle
@@ -114,6 +117,7 @@ from .kernel import raise_output_mismatch
 from .steady_state import (
     certify_model,
     channel_offset_pairs,
+    finish_from_history,
     periods_to_skip,
     stats_jump,
 )
@@ -510,6 +514,15 @@ class _Generator:
             for p in range(len(hooks))
             if self.looped and (self.done_ovr[p] or (self.relaxed and self.req_ovr[p]))
         ]
+        # An uninstrumented looped replay with a done-based stop finishes
+        # from the searched cycles' firing history at its first recurrence
+        # (finish_from_history); the others measure one more period and jump.
+        self.finish = (
+            self.steady
+            and self.looped
+            and not (self.stats or self.occ)
+            and stop_mode != STOP_TARGET
+        )
         # Steady-state snapshot plan (processes to sample, tag offsets, the
         # per-FIFO pop counters a jump must advance; certified mode also
         # keys the queued token values).  The replay key samples no process:
@@ -643,12 +656,18 @@ class _Generator:
             w.emit("_bound = max_cycles")
         if self.steady:
             # Steady-state detector state: 1 = searching, 2 = measuring one
-            # concrete period, 0 = off.
-            w.emit("_ss = 1")
+            # concrete period, 0 = off; a looped replay starts at 3, waiting
+            # until every trace position is inside the loop.
+            w.emit(f"_ss = {3 if self.pos_procs else 1}")
             w.emit("_ss_seen = {}")
             w.emit("_ss_p = 0")
             w.emit("_ss_w = 0")
-            w.emit("_ss_end = -1")
+            if self.finish:
+                # Firing counters of every searched cycle since cycle _ss_g.
+                w.emit("_ss_h = []")
+                w.emit("_ss_g = 0")
+            else:
+                w.emit("_ss_end = -1")
             w.emit("_extrap = False")
             for p in self.ss_sig_procs:
                 w.emit(f"p{p}_ss = p{p}.schedule_state")
@@ -844,9 +863,24 @@ class _Generator:
         Every searched cycle is keyed by one tuple (:meth:`_key_expr`); the
         first recurrence gives the period, one more concrete period gives
         the per-period deltas, and the jump follows.
+
+        A looped replay searches only once every trace position is inside
+        the loop: before that a position below the loop start still equals
+        its firing counter, and a key holding it can recur only if that
+        process never fires again, which leaves no firing to extrapolate in
+        a connected netlist.  Without stat instruments or firing targets it
+        keeps the firing counters of every searched cycle and finishes at
+        the first recurrence (:func:`~.steady_state.finish_from_history`).
         """
         w = self.w
         fs = _tuple_expr([f"f{p}" for p in range(self.n_procs)])
+        if self.pos_procs:
+            inside = " and ".join(f"o{p} >= _loop" for p in self.pos_procs)
+            w.emit(f"if _ss == 3 and {inside}:")
+            with _Block(w):
+                w.emit("_ss = 1")
+                if self.finish:
+                    w.emit("_ss_g = cycles")
         w.emit("if _ss == 1:")
         with _Block(w):
             w.emit(f"_sk = {self._key_expr()}")
@@ -854,25 +888,52 @@ class _Generator:
             w.emit("if _pv is None:")
             with _Block(w):
                 w.emit("_ss_seen[_sk] = cycles")
+                if self.finish:
+                    w.emit(f"_ss_h.append({fs})")
                 w.emit("if cycles >= ss_window:")
                 with _Block(w):
                     w.emit("_ss = 0")
                     w.emit("_ss_seen = None")
+                    if self.finish:
+                        w.emit("_ss_h = None")
             w.emit("else:")
             with _Block(w):
-                w.emit("_ss = 2")
-                w.emit("_ss_w = _pv")
-                w.emit("_ss_p = cycles - _pv")
-                w.emit("_ss_end = cycles + _ss_p")
-                w.emit("_ss_seen = None")
-                w.emit(f"_ss_bf = {fs}")
-                if self.ss_g_queues:
-                    w.emit(f"_ss_bg = {self._g_expr()}")
-                if self.stats:
-                    w.emit(f"_ss_bs = {_STATS_COPY}")
-        w.emit("elif _ss == 2 and cycles == _ss_end:")
+                if self.finish:
+                    self._steady_finish(fs)
+                else:
+                    w.emit("_ss = 2")
+                    w.emit("_ss_w = _pv")
+                    w.emit("_ss_p = cycles - _pv")
+                    w.emit("_ss_end = cycles + _ss_p")
+                    w.emit("_ss_seen = None")
+                    w.emit(f"_ss_bf = {fs}")
+                    if self.ss_g_queues:
+                        w.emit(f"_ss_bg = {self._g_expr()}")
+                    if self.stats:
+                        w.emit(f"_ss_bs = {_STATS_COPY}")
+        if not self.finish:
+            w.emit("elif _ss == 2 and cycles == _ss_end:")
+            with _Block(w):
+                self._steady_jump()
+
+    def _steady_finish(self, fs: str) -> None:
+        """End the run at its bound from the firing history, if sound."""
+        w = self.w
+        w.emit("_ss = 0")
+        w.emit("_ss_w = _pv")
+        w.emit("_ss_p = cycles - _pv")
+        w.emit("_ss_seen = None")
+        w.emit(f"_ss_h.append({fs})")
+        w.emit(
+            "_fin = _ss_fin(_ss_h, _pv - _ss_g, _bound - _ss_g, idle, "
+            "deadlock_limit)"
+        )
+        w.emit("_ss_h = None")
+        w.emit("if _fin is not None:")
         with _Block(w):
-            self._steady_jump()
+            w.emit(f"{fs}, _extrap = _fin")
+            w.emit("cycles = _bound")
+            w.emit("continue  # the loop condition ends the run: horizon/timeout")
 
     def _g_expr(self) -> str:
         return _tuple_expr([f"g{q}" for q in self.ss_g_queues])
@@ -1263,6 +1324,7 @@ def _base_namespace(shape: _Shape) -> dict:
         "_sample_chain": _sample_chain,
         "_ss_skip": periods_to_skip,
         "_ss_sj": stats_jump,
+        "_ss_fin": finish_from_history,
         "_miss": _trace_exhausted,
     }
     in_ports, out_ports = shape.key[:2]

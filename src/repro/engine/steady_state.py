@@ -18,7 +18,9 @@ This module holds everything the kernels share:
   netlists of :attr:`~repro.core.process.Process.schedule_complete`
   processes with no control hooks (:func:`certify_model`, DESIGN.md §5);
 * the extrapolation arithmetic — how many whole periods a run may skip
-  without overshooting its stop condition (:func:`periods_to_skip`).
+  without overshooting its stop condition (:func:`periods_to_skip`), and
+  the looped replay's finish from its firing history
+  (:func:`finish_from_history`).
 
 Whether a run detects, and what it finds, depends only on that run's model,
 controls and instruments: every run searches ``steady_state_window`` cycles
@@ -183,6 +185,50 @@ def detection_plan(
     )
 
 
+def finish_from_history(
+    history: List[Tuple[int, ...]],
+    start: int,
+    bound: int,
+    idle: int,
+    deadlock_limit: int,
+) -> Optional[Tuple[Tuple[int, ...], bool]]:
+    """The firing counters at *bound* of a run whose schedule has recurred.
+
+    *history* holds the firing counters at the top of every searched cycle,
+    indexed from the first one; the state at its last index equals the
+    state at *start*, so from *start* on the schedule repeats with period
+    ``P = len(history) - 1 - start`` and *bound* (relative to the same
+    first cycle) reads as ``start + k·P + r``.  Returns the counters at
+    *bound*, ``history[start + r] + k·Δ`` with ``Δ`` one period's
+    firings, and whether whole periods were skipped past the recurrence
+    (``k > 1``).  No measuring period is needed, and nothing after the
+    jump is simulated.
+
+    Returns None, and the run keeps simulating, when the period holds no
+    firing or when the idle run across a period boundary — *idle*, the
+    run's idle cycles so far, plus the period's leading idle cycles —
+    reaches *deadlock_limit*: the full run may then raise, which only
+    simulation reproduces.  Idle runs inside the period were simulated
+    already.  Done-based stop modes need no check: a recurrence proves no
+    done flag flips again (see :func:`periods_to_skip`).
+    """
+    period = len(history) - 1 - start
+    deltas = [last - begin for begin, last in zip(history[start], history[-1])]
+    if not any(deltas):
+        return None
+    lead = 0
+    while history[start + lead + 1] == history[start + lead]:
+        lead += 1
+    if idle + lead >= deadlock_limit:
+        return None
+    periods, rest = divmod(bound - start, period)
+    base = history[start + rest]
+    return (
+        tuple(count + periods * delta for count, delta in zip(base, deltas)),
+        periods > 1,
+    )
+
+
 def periods_to_skip(
     cycles: int,
     period: int,
@@ -196,8 +242,11 @@ def periods_to_skip(
 
     Called at a period boundary (``cycles`` is a snapshot-recurrence phase
     point) with the per-period firing *deltas* measured over one concrete
-    period.  The skip must leave the true stop cycle outside the skipped
-    region, so the resumed concrete simulation finds it exactly:
+    period.  This measured jump serves every detecting run except an
+    uninstrumented looped replay with a done-based stop, which finishes
+    from its firing history instead (:func:`finish_from_history`).  The
+    skip must leave the true stop cycle outside the skipped region, so the
+    resumed concrete simulation finds it exactly:
 
     * ``bound`` (the horizon or ``max_cycles`` loop bound) is never crossed;
     * under firing targets (``stop_mode == 1``), the run stops only once

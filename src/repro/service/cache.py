@@ -79,7 +79,11 @@ from ..engine.kernel import RunControls
 #: again; looped CPU horizon rows take their period and warmup from the
 #: replay of the golden run's loop, and the key says whether the netlist
 #: carries such a loop.
-CACHE_SCHEMA_VERSION = 5
+#: v6: a looped trace starts its loop where the oracle answers repeat, not
+#: at the golden run's power-of-two save point, so replayed horizon rows
+#: find their recurrence earlier: stored ``warmup_cycles`` (and, at short
+#: horizons, ``period``/``extrapolated``) differ from a fresh run's.
+CACHE_SCHEMA_VERSION = 6
 
 
 def controls_signature(controls: RunControls) -> Optional[Tuple]:

@@ -22,7 +22,17 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.channel import Channel
 from ..core.exceptions import NetlistError
@@ -65,29 +75,52 @@ class _Mix:
 class _RotatingOracle:
     """WP2 oracle releasing a rotating subset of the input ports.
 
-    Mirrors the property-test oracle: pure function of the process state,
-    so every kernel observes identical answers.  ``period == 0`` keeps all
-    ports required (WP2 degenerates to WP1 for the process).
+    Mirrors the property-test oracle, but reads only the firing step (the
+    first element of a :class:`_RotatingMix` state), never the mixed
+    value, so the schedule evolves independently of token values as
+    :class:`FunctionProcess` requires of its ``schedule_state``.
     """
 
     def __init__(self, ports: Sequence[str], period: int) -> None:
         self.ports = tuple(ports)
         self.period = int(period)
 
-    def __call__(self, state):
-        if self.period == 0:
-            return None
-        base = 0 if state is None else int(state)
+    def required(self, step: int) -> FrozenSet[str]:
         return frozenset(
             port
             for index, port in enumerate(self.ports)
-            if (base + index) % self.period != 0
+            if (step + index) % self.period != 0
         )
 
+    def __call__(self, state):
+        return self.required(state[0])
 
-def _state_identity(state):
-    """Schedule-state projection for oracle processes: the full (int) state."""
-    return state
+
+class _RotatingMix:
+    """:class:`_Mix` behind a :class:`_RotatingOracle`.
+
+    The state is ``(step, acc)``: ``step`` counts firings modulo the oracle
+    period and alone decides the required ports; ``acc`` folds only those
+    ports, the only ones whose tokens a WP2 shell must deliver, so every
+    firing sees the inputs it saw in the golden system.
+    """
+
+    def __init__(self, mix: _Mix, oracle: _RotatingOracle) -> None:
+        self.mix = mix
+        self.oracle = oracle
+
+    def __call__(self, state, inputs):
+        step, acc = state
+        required = self.oracle.required(step)
+        acc, outputs = self.mix(
+            acc, {port: value for port, value in inputs.items() if port in required}
+        )
+        return ((step + 1) % self.oracle.period, acc), outputs
+
+
+def _schedule_step(state):
+    """Schedule-state projection for oracle processes: the firing step."""
+    return state[0]
 
 
 def _mix_process(
@@ -97,14 +130,19 @@ def _mix_process(
     outputs: Sequence[str],
     oracle: Optional[_RotatingOracle] = None,
 ) -> FunctionProcess:
+    if oracle is None:
+        transition, initial_state, schedule_state = _Mix(salt, outputs), salt, None
+    else:
+        transition = _RotatingMix(_Mix(salt, outputs), oracle)
+        initial_state, schedule_state = (0, salt), _schedule_step
     return FunctionProcess(
         name=name,
         inputs=tuple(inputs),
         outputs=tuple(outputs),
-        transition=_Mix(salt, outputs),
-        initial_state=salt,
+        transition=transition,
+        initial_state=initial_state,
         oracle=oracle,
-        schedule_state=_state_identity if oracle is not None else None,
+        schedule_state=schedule_state,
     )
 
 

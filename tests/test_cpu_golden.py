@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import golden
+from repro.core import Channel, Netlist, Process, RSConfiguration, golden
+from repro.core.golden import run_golden
 from repro.cpu import Program, build_multicycle_cpu, build_pipelined_cpu
 from repro.cpu.workloads import (
     make_extraction_sort,
     make_matrix_multiply,
     reference_product,
 )
+from repro.engine import BatchRunner
 
 
 class TestSmallPrograms:
@@ -248,6 +250,46 @@ class TestWorkloadsOnGolden:
         assert reference_product(a, b, 2) == [19, 22, 43, 50]
 
 
+class _Ticker(Process):
+    """Never done; alternates its output between 0 and 1."""
+
+    schedule_complete = True
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.input_ports = ("in",)
+        self.output_ports = ("out",)
+
+    def fire(self, inputs):
+        return {"out": self.firings % 2}
+
+    def schedule_state(self):
+        return self.firings % 2
+
+
+class _Stopper(Process):
+    """Done after three firings; its oracle always requires its input."""
+
+    schedule_complete = True
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.input_ports = ("x",)
+        self.output_ports = ("y",)
+
+    def fire(self, inputs):
+        return {"y": 0}
+
+    def required_ports(self):
+        return frozenset({"x"})
+
+    def is_done(self) -> bool:
+        return self.firings >= 3
+
+    def schedule_state(self):
+        return min(self.firings, 3)
+
+
 class TestLoopSearch:
     """A looped program's golden run stops at its loop (DESIGN.md §5)."""
 
@@ -261,14 +303,34 @@ class TestLoopSearch:
         ids=["sort", "matmul"],
     )
     def test_loop_lookup_equals_a_raw_run(self, builder, workload, monkeypatch):
-        """Answers read through the loop equal a run three periods longer."""
+        """Answers read through the loop equal a run three periods longer.
+
+        The loop starts at the smallest index the answers repeat from.
+        """
         program = workload.looped().program
         cpu = builder(program)
         result = cpu.run_golden(record_trace=False)
         looped = cpu.netlist.firing_trace
         assert not result.halted and looped.loop_start is not None
-        assert result.cycles == looped.firings
-        horizon = looped.firings + 3 * (looped.firings - looped.loop_start)
+        start, period = looped.loop_start, looped.firings - looped.loop_start
+        # The run stopped one period after Brent's power-of-two save point;
+        # the trace's loop start is at or before that point.
+        saved = result.cycles - period
+        assert saved & (saved - 1) == 0 and period <= max(saved, 1)
+        assert start <= saved
+        done = [at for at in looped.done_at if at is not None]
+        assert all(start >= at for at in done)
+        oracles = [answers for answers in looped.oracle if answers is not None]
+        assert all(len(answers) == looped.firings + 1 for answers in oracles)
+        assert (
+            start == 0
+            or start == max(done, default=None)
+            or any(
+                answers[start - 1] != answers[start - 1 + period]
+                for answers in oracles
+            )
+        )
+        horizon = looped.firings + 3 * period
 
         monkeypatch.setattr(golden, "_searches_loop", lambda netlist, stop: False)
         raw_cpu = builder(program)
@@ -283,6 +345,38 @@ class TestLoopSearch:
             assert list(answers) == [
                 loop_answers[looped.position(k)] for k in range(horizon + 1)
             ]
+
+    def test_loop_start_stays_at_a_done_index(self):
+        """Answers that repeat from index 0 still loop from the done index.
+
+        A process done after three firings, whose oracle answer never
+        changes, beside a stop process that never stops: a loop start below
+        three would wrap the replay back to "not done".
+        """
+        netlist = Netlist(
+            [_Ticker("tick"), _Stopper("stop")],
+            [
+                Channel("a", "tick", "out", "stop", "x", initial=0),
+                Channel("b", "stop", "y", "tick", "in", initial=0),
+            ],
+        )
+        run_golden(netlist, stop_process="tick", record_trace=False)
+        looped = netlist.firing_trace
+        assert looped.done_at == (None, 3)
+        assert looped.loop_start == 3 and looped.firings == 5
+        for relaxed in (False, True):
+            rows = [
+                BatchRunner(netlist, relaxed=relaxed, kernel=kernel).run_many(
+                    [RSConfiguration.uniform(1)], stop_process="tick",
+                    horizon=500, steady_state_window=500,
+                )[0]
+                for kernel in ("compiled", "reference")
+            ]
+            replayed, full = (
+                (row.cycles, row.firings, row.halted) for row in rows
+            )
+            assert rows[0].kernel == "replay" and replayed == full
+            assert full[1]["stop"] == 3
 
     def test_done_stop_run_computes_no_summary(self, monkeypatch):
         cpu = build_pipelined_cpu(make_extraction_sort(length=4, seed=5).program)

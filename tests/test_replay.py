@@ -274,9 +274,6 @@ class TestTheorem:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=50), data=st.data())
     def test_zoo_oracle_states_under_wp1(self, seed, data):
-        # The zoo's mixing processes fold every input into their state, even
-        # the ports their oracle leaves out, so only WP1 (which always feeds
-        # the real token) reproduces the golden states.
         netlist = random_topology(seed=seed, with_oracles=True).netlist
         run_golden(netlist, max_cycles=200)
         trace = netlist.firing_trace
@@ -284,6 +281,26 @@ class TestTheorem:
             BatchRunner(netlist).run(
                 rs_counts=_rs_vector(data.draw, netlist, limit=3), horizon=150
             )
+        recorded.assert_matches(trace)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=50), data=st.data())
+    def test_zoo_oracle_states_under_wp2(self, seed, data):
+        # The zoo's mixing processes fold only the ports their oracle
+        # requires, so WP2 (which may feed None on the others) reproduces
+        # the golden states too.
+        netlist = random_topology(seed=seed, with_oracles=True).netlist
+        run_golden(netlist, max_cycles=200)
+        trace = netlist.firing_trace
+        capacity = data.draw(st.integers(min_value=1, max_value=3))
+        with _RecordedOracles(netlist) as recorded:
+            try:
+                BatchRunner(netlist, relaxed=True, queue_capacity=capacity).run(
+                    rs_counts=_rs_vector(data.draw, netlist, limit=3),
+                    horizon=150, deadlock_limit=100,
+                )
+            except DeadlockError:
+                pass  # the firings made before the deadlock still count
         recorded.assert_matches(trace)
 
     @settings(max_examples=10, deadline=None)

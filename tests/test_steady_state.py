@@ -46,13 +46,19 @@ from repro.engine import (
     make_kernel,
 )
 from repro.engine.codegen import (
+    REPLAY_LOOPED,
     STOP_ANY_DONE,
+    STOP_PROCESS,
     STOP_TARGET,
     compiled_run_fn,
     generate_run_source,
 )
 from repro.engine.kernel import RunControls
-from repro.engine.steady_state import certify_model, periods_to_skip
+from repro.engine.steady_state import (
+    certify_model,
+    finish_from_history,
+    periods_to_skip,
+)
 
 DETECTING_KERNELS = ("fast", "compiled")
 
@@ -460,6 +466,181 @@ class TestLoopedCpuExtrapolation:
             assert row.kernel == "compiled" and row.fallback is None
             assert row.period is None and not row.extrapolated
             assert row == reference
+
+
+def _row_outcome(
+    netlist, kernel, configuration, relaxed, capacity=DEFAULT_QUEUE_CAPACITY,
+    **controls
+):
+    """``(cycles, firings, halted)`` of one batch row, or the error it raised."""
+    runner = BatchRunner(
+        netlist, relaxed=relaxed, kernel=kernel, queue_capacity=capacity
+    )
+    try:
+        [row] = runner.run_many([configuration], **controls)
+    except (DeadlockError, SimulationError) as exc:
+        return type(exc).__name__, str(exc)
+    assert row.kernel == ("replay" if kernel == "compiled" else kernel)
+    return row.cycles, row.firings, row.halted
+
+
+class TestLoopedReplayFinish:
+    """Uninstrumented looped replays finish from their firing history.
+
+    A batch row (no shell stats, no occupancy) of a golden-run looped CPU
+    ends at its first recurrence: the counters at the bound are read from
+    the searched cycles' history plus whole periods, with no measuring
+    period and no remainder simulated.  Each row must equal the same row
+    simulated in full by the reference kernel on an untraced twin.
+    """
+
+    @given(data=st.data())
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_rows_equal_full_reference_runs(self, data):
+        from repro.cpu import build_multicycle_cpu
+        from repro.cpu.workloads import make_matrix_multiply
+
+        builder = data.draw(
+            st.sampled_from([build_pipelined_cpu, build_multicycle_cpu]),
+            label="builder",
+        )
+        if data.draw(st.booleans(), label="use_sort"):
+            workload = make_extraction_sort(
+                length=data.draw(st.integers(3, 4), label="length"),
+                seed=data.draw(st.integers(0, 99), label="seed"),
+                repeat=True,
+            )
+        else:
+            workload = make_matrix_multiply(
+                size=2, seed=data.draw(st.integers(0, 99), label="seed"),
+                repeat=True,
+            )
+        cpu = _looped_cpu(workload, builder)
+        links = [name for name in cpu.netlist.link_names() if name != "CU-IC"]
+        config = RSConfiguration.from_mapping(
+            {link: data.draw(st.integers(0, 2), label=link) for link in links},
+            label="candidate",
+        )
+        relaxed = data.draw(st.booleans(), label="relaxed")
+        capacity = data.draw(st.integers(2, 4), label="capacity")
+        [probe] = BatchRunner(
+            cpu.netlist, relaxed=relaxed, kernel="compiled",
+            queue_capacity=capacity,
+        ).run_many(
+            [config], stop_process="CU", horizon=10**6,
+            steady_state_window=10**6,
+        )
+        assert probe.kernel == "replay" and probe.extrapolated
+        warmup, period = probe.warmup_cycles, probe.period
+        horizon = data.draw(
+            st.integers(warmup + period, warmup + 3 * period)
+            | st.sampled_from([warmup + k * period for k in (1, 2, 3)]),
+            label="horizon",
+        )
+        controls = dict(
+            stop_process="CU", horizon=horizon, steady_state_window=horizon
+        )
+        twin = builder(workload.looped().program).netlist
+        assert _row_outcome(
+            cpu.netlist, "compiled", config, relaxed, capacity, **controls
+        ) == _row_outcome(twin, "reference", config, relaxed, capacity, **controls)
+
+    def test_target_firings_row(self):
+        """A firing-target row keeps the measured jump and stays exact."""
+        workload = make_extraction_sort(length=5, seed=3, repeat=True)
+        cpu = _looped_cpu(workload)
+        config = RSConfiguration.uniform(1, exclude=("CU-IC",))
+        controls = dict(
+            target_firings={"CU": 12_000}, max_cycles=100_000,
+            steady_state_window=50_000,
+        )
+        [row] = BatchRunner(cpu.netlist, relaxed=True, kernel="compiled").run_many(
+            [config], **controls
+        )
+        assert row.kernel == "replay" and row.extrapolated
+        twin = build_pipelined_cpu(workload.looped().program).netlist
+        assert _row_outcome(cpu.netlist, "compiled", config, True, **controls) == (
+            _row_outcome(twin, "reference", config, True, **controls)
+        )
+
+    def test_max_cycles_below_the_horizon_raises_on_both_sides(self):
+        workload = make_extraction_sort(length=5, seed=3, repeat=True)
+        cpu = _looped_cpu(workload)
+        twin = build_pipelined_cpu(workload.looped().program).netlist
+        config = RSConfiguration.uniform(1, exclude=("CU-IC",))
+        controls = dict(
+            stop_process="CU", horizon=50_000, max_cycles=20_000,
+            steady_state_window=50_000,
+        )
+        for relaxed in (False, True):
+            got = _row_outcome(cpu.netlist, "compiled", config, relaxed, **controls)
+            assert got[0] == "SimulationError"
+            assert got == _row_outcome(twin, "reference", config, relaxed, **controls)
+
+    def test_only_uninstrumented_done_stop_replays_finish(self):
+        """Stat instruments and firing targets keep the measured jump."""
+        cpu = _looped_cpu(make_extraction_sort(length=4, seed=3, repeat=True))
+        model = elaborate(cpu.netlist, relaxed=True)
+        none = InstrumentSet.none()
+        stats = InstrumentSet(trace=False, shell_stats=True, occupancy=False)
+        occupancy = InstrumentSet(trace=False, shell_stats=False, occupancy=True)
+        cases = [
+            (none, STOP_PROCESS, True),
+            (none, STOP_ANY_DONE, True),
+            (none, STOP_TARGET, False),
+            (stats, STOP_PROCESS, False),
+            (occupancy, STOP_PROCESS, False),
+        ]
+        for instruments, stop_mode, finishes in cases:
+            source = generate_run_source(
+                model, instruments, stop_mode, steady=True, horizon=True,
+                replay=REPLAY_LOOPED,
+            )
+            assert ("_ss_fin(" in source) == finishes
+            assert ("_ss_skip(" in source) != finishes
+            # Every looped replay searches only inside the loop.
+            assert "_ss = 3" in source
+
+
+class TestFinishFromHistory:
+    """The arithmetic of :func:`finish_from_history` on synthetic histories."""
+
+    @staticmethod
+    def _history(prefix, pattern, periods):
+        """Two firing counters per cycle (the second counts double): they
+        fire on the cycles marked 1 in *prefix*, then in *periods* copies
+        of *pattern*."""
+        history, count = [], 0
+        for bit in list(prefix) + list(pattern) * periods:
+            history.append((count, 2 * count))
+            count += bit
+        history.append((count, 2 * count))
+        return history
+
+    def test_counters_at_any_bound_equal_the_extended_schedule(self):
+        prefix, pattern = [1, 0, 1], [1, 0, 0, 1, 0]
+        history = self._history(prefix, pattern, 1)
+        full = self._history(prefix, pattern, 8)
+        start = len(prefix)
+        for bound in range(start + len(pattern), start + 7 * len(pattern)):
+            counts, skipped = finish_from_history(history, start, bound, 1, 100)
+            assert counts == full[bound]
+            assert skipped == (bound - start >= 2 * len(pattern))
+
+    def test_idle_run_across_the_boundary_keeps_simulating(self):
+        # The period starts with two idle cycles and ends with one: the run
+        # across each boundary is three cycles long.
+        history = self._history([1], [0, 0, 1, 1, 0], 1)
+        assert finish_from_history(history, 1, 100, 1, 4) is not None
+        assert finish_from_history(history, 1, 100, 1, 3) is None
+
+    def test_a_period_without_firings_keeps_simulating(self):
+        history = self._history([1, 1], [0, 0], 1)
+        assert finish_from_history(history, 2, 100, 2, 10**6) is None
 
 
 #: The BFS instance below recurs within its first CHECKPOINT_CAP cycles.
@@ -1230,6 +1411,40 @@ class TestSharedCodeCache:
                     fast.period, fast.warmup_cycles, fast.extrapolated
                 )
         assert len(fns) == 1
+
+    @pytest.mark.parametrize(
+        "params, counts, capacity",
+        [
+            ({"seed": 2, "n_processes": 2, "extra_channels": 3,
+              "allow_cycles": True}, [0, 0, 3, 0], 4),
+            ({"seed": 64, "n_processes": 2, "extra_channels": 3,
+              "allow_cycles": True}, [0, 0, 2, 0], 2),
+            ({"seed": 15473, "n_processes": 3, "extra_channels": 3,
+              "allow_cycles": False}, [3, 3, 3, 1, 1], 1),
+        ],
+    )
+    def test_zoo_oracle_rows_extrapolate_exactly(self, params, counts, capacity):
+        """WP2 zoo rows whose oracle once read the mixed token values.
+
+        A recurrence of the schedule key was then no recurrence of the
+        schedule, and extrapolation got firings and stall counts wrong.
+        """
+        from repro.topology import make_topology
+
+        netlist = make_topology("random", with_oracles=True, **params).netlist
+        model = Elaborator(netlist).bind(
+            rs_counts=dict(zip(netlist.channels, counts)),
+            relaxed=True, queue_capacity=capacity,
+        )
+        controls = RunControls(horizon=3_000, max_cycles=10_000, deadlock_limit=200)
+        instruments = InstrumentSet(trace=False, shell_stats=True, occupancy=True)
+        kind_full, full = _horizon_outcome(model, "reference", controls, instruments)
+        assert kind_full == "ok"
+        for kernel in DETECTING_KERNELS:
+            kind, got = _horizon_outcome(model, kernel, controls, instruments)
+            assert kind == "ok", kernel
+            assert got.extrapolated, kernel
+            _assert_matches_full(full, got)
 
 
 # ---------------------------------------------------------------------------
